@@ -230,7 +230,11 @@ def run(args) -> tuple[dict, int]:
         }
         report["lambda"] = vector_field(proj.lam, precision)
         report["density"] = _density_payload(proj.density, precision, paper)
-        report["fw"] = {"iterations": proj.iterations, "gap_exact": str(proj.gap)}
+        report["fw"] = {
+            "iterations": proj.iterations,
+            "gap_exact": str(proj.gap),
+            "converged": proj.converged,
+        }
 
     elif args.command == "sample":
         rho, mu2 = _target_mu2(spec, cls)

@@ -172,12 +172,19 @@ def _pair_count(m: int) -> int:
 
 @dataclass(frozen=True)
 class PairMoments:
-    """Raw second-order moments E[X_i X_j], pairs in lexicographic order."""
+    """Raw second-order moments E[X_i X_j], pairs in lexicographic order.
+
+    Moments of a distribution lie in [0, 1], which the constructor enforces.
+    A target translated from in-range correlations can still leave [0, 1]
+    (rho = -1 with p = (1/2, 1/10) gives -1/10). Such a target is
+    unattainable, but it is a valid right-hand side for the fit LPs and a
+    valid projection target, so mu2_from_rho builds it with checked=False.
+    """
 
     m: int
     values: tuple[Fraction, ...]
 
-    def __init__(self, m: int, values: Sequence[RationalLike]):
+    def __init__(self, m: int, values: Sequence[RationalLike], checked: bool = True):
         raw = tuple(as_fraction(v) for v in values)
         if len(raw) != _pair_count(m):
             raise ValueError(f"m={m} has {_pair_count(m)} pairs, got {len(raw)} moments")
@@ -185,7 +192,9 @@ class PairMoments:
         for (i, j), v in zip(pair_list(m), raw):
             c = _clamp_interval(v, ZERO, ONE)
             if c is None:
-                raise ValueError(f"moment for pair ({i},{j}) is {v}, outside [0, 1]")
+                if checked:
+                    raise ValueError(f"moment for pair ({i},{j}) is {v}, outside [0, 1]")
+                c = v
             vals.append(c)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "values", tuple(vals))
@@ -372,13 +381,14 @@ def _pair_scale(cls: FrechetClass, i: int, j: int) -> Fraction:
 
 def mu2_from_rho(cls: FrechetClass, rho: CorrelationSpec) -> PairMoments:
     """E[X_i X_j] = rho_ij sqrt(p_i q_i p_j q_j) + p_i p_j, exact where the
-    scale is an exact rational, 1e-30-policy otherwise."""
+    scale is an exact rational, 1e-30-policy otherwise. The result may leave
+    [0, 1]; see PairMoments."""
     if rho.m != cls.m:
         raise ValueError("correlation dimension does not match the class")
     out = []
     for (i, j), r in zip(itertools.combinations(range(cls.m), 2), rho.values):
         out.append(r * _pair_scale(cls, i, j) + cls.p[i] * cls.p[j])
-    return PairMoments(cls.m, out)
+    return PairMoments(cls.m, out, checked=False)
 
 
 def rho_from_mu2(cls: FrechetClass, mu2: PairMoments) -> CorrelationSpec:

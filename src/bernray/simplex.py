@@ -3,18 +3,35 @@
 Solves min c.x subject to A x = b, x >= 0 with a two-phase tableau simplex.
 Pivoting is Bland's rule throughout (lowest eligible index enters, lowest
 basic index breaks ratio ties), which makes every run deterministic and
-cycle-free. All arithmetic is Fraction; infeasibility comes back with a
-rational Farkas certificate y (y.A >= 0 componentwise, y.b < 0) that is
-re-verified in exact arithmetic before it is returned.
+cycle-free. Infeasibility comes back with a rational Farkas certificate y
+(y.A >= 0 componentwise, y.b < 0) that is re-verified in exact arithmetic
+against the caller's rows before it is returned.
+
+The tableau is fraction-free (Edmonds 1967, Bareiss 1968): integer rows T
+and one shared positive denominator D = |det B| of the current basis B,
+with the invariant T / D = B^-1 [A' | I | b'] and the objective row held
+over the same D. A pivot on entry pv computes every other entry as
+(a*pv - f*w) // D, a division that is always exact, after which D = |pv|
+(the pivot row is negated first when pv < 0, which only the artificial
+drive-out can meet). No gcd is taken per entry.
+
+A' and b' make the input integer: column j is multiplied by the positive lcm
+t_j of its denominators and b by the lcm L of its own, so that
+x_j = t_j x'_j / L. Rows are never scaled beyond the sign flip that makes b
+nonnegative. A positive column scale multiplies column j's reduced cost by
+t_j and every ratio of a ratio test by the same L / t_j, so each sign and
+each order Bland's rule reads is the one of the unscaled tableau, and the
+artificial reduced costs (hence the certificate) are unchanged. Scaling rows
+would change the phase-1 costs and with them the pivot path.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -60,119 +77,140 @@ def solve_lp(
     if len(cost) != ncols:
         raise ValueError("objective length does not match columns")
 
+    frows = [[Fraction(v) for v in r] for r in rows]
+    fb = [Fraction(v) for v in b]
+    scale = [lcm(*(r[j].denominator for r in frows)) for j in range(ncols)]
+    b_scale = lcm(*(v.denominator for v in fb))
     # Sign-adjust so the right-hand side is nonnegative; remember the flips
     # to map the certificate back to the caller's row orientation.
-    flip = [(-ONE if b[i] < 0 else ONE) for i in range(nrows)]
+    flip = [-1 if v < 0 else 1 for v in fb]
     tab = []
-    for i in range(nrows):
-        s = flip[i]
-        tab.append([s * Fraction(v) for v in rows[i]] + [ZERO] * nrows + [s * Fraction(b[i])])
-    for i in range(nrows):
-        tab[i][ncols + i] = ONE
+    for i, (r, s, bi) in enumerate(zip(frows, flip, fb)):
+        row = [s * v.numerator * (t // v.denominator) for v, t in zip(r, scale)]
+        row += [0] * nrows
+        row.append(s * bi.numerator * (b_scale // bi.denominator))
+        row[ncols + i] = 1
+        tab.append(row)
 
     total = ncols + nrows  # artificials occupy columns ncols .. total-1
-    basis = list(range(ncols, total))
-
     # Phase 1: minimize the artificial sum. Reduced costs start as
     # c1_j - sum of column j over the rows (artificial columns start basic).
-    obj = [ZERO] * (total + 1)
-    for j in range(ncols):
-        obj[j] = -sum(tab[i][j] for i in range(nrows))
-    obj[total] = -sum(tab[i][total] for i in range(nrows))
+    obj = [-sum(r[j] for r in tab) for j in range(ncols)] + [0] * nrows
+    obj.append(-sum(r[total] for r in tab))
+    lp = _Tableau(tab, obj, list(range(ncols, total)))
+    pivots = lp.run(allowed=total)
+    if pivots is None:
+        raise ArithmeticError("phase 1 cannot be unbounded")
 
-    pivots = 0
-    pivots += _run_phase(tab, obj, basis, total, allowed=total)
-
-    infeas = -obj[total]  # phase-1 optimum
-    if infeas > 0:
-        y = [ZERO] * nrows
-        for i in range(nrows):
-            # reduced cost of artificial i is 1 - y_i at optimum
-            y[i] = (ONE - obj[ncols + i]) * flip[i]
-        cert = tuple(-v for v in y)
+    if lp.obj[total] < 0:  # phase-1 optimum (the artificial sum) is positive
+        # The reduced cost of artificial i is 1 - y_i at optimum.
+        den = lp.den
+        cert = tuple(
+            Fraction(lp.obj[ncols + i] - den, den) * flip[i] for i in range(nrows)
+        )
         if not verify_farkas(rows, b, cert):
             raise CertificateError("phase-1 dual certificate failed exact verification")
         return LpResult("infeasible", None, None, cert, pivots)
 
+    # Phase 2 costs c_j t_j, made integer by their lcm; a positive factor
+    # leaves every reduced-cost sign alone. The artificial columns can never
+    # enter again, so they leave the tableau. The reduced-cost row is taken
+    # against the current basis (artificials cost 0) and the drive-out
+    # pivots below keep it current.
+    scaled = [ci * t for ci, t in zip(cost, scale)]
+    c_scale = lcm(*(v.denominator for v in scaled))
+    c2 = [v.numerator * (c_scale // v.denominator) for v in scaled] + [0]
+    lp.rows = [r[:ncols] + [r[total]] for r in lp.rows]
+    lp.obj = [lp.den * cj for cj in c2]
+    for r, bi in zip(lp.rows, lp.basis):
+        cb = c2[bi] if bi < ncols else 0
+        if cb:
+            lp.obj = [o - cb * v for o, v in zip(lp.obj, r)]
+
     # Drive any leftover artificials out of the basis; a row where no real
     # column can pivot is a redundant constraint and is dropped.
     drop: list[int] = []
-    for i in range(nrows):
-        if basis[i] >= ncols:
-            target = next((j for j in range(ncols) if tab[i][j] != 0), None)
+    for i in range(len(lp.rows)):
+        if lp.basis[i] >= ncols:
+            target = next((j for j in range(ncols) if lp.rows[i][j]), None)
             if target is None:
                 drop.append(i)
             else:
-                _pivot(tab, obj, basis, i, target)
+                lp.pivot(i, target)
                 pivots += 1
-    if drop:
-        for i in reversed(drop):
-            del tab[i], basis[i]
+    for i in reversed(drop):
+        del lp.rows[i], lp.basis[i]
 
-    # Phase 2 on the real objective, artificial columns frozen out.
-    obj = cost[:] + [ZERO] * nrows + [ZERO]
-    for i, bi in enumerate(basis):
-        cb = obj[bi]
-        if cb:
-            row = tab[i]
-            for j in range(total + 1):
-                if row[j]:
-                    obj[j] -= cb * row[j]
-    status = _run_phase(tab, obj, basis, total, allowed=ncols, detect_unbounded=True)
-    if status == "unbounded":
+    phase2 = lp.run(allowed=ncols)
+    if phase2 is None:
         return LpResult("unbounded", None, None, None, pivots)
-    pivots += status
+    pivots += phase2
 
     x = [ZERO] * ncols
-    for i, bi in enumerate(basis):
-        if bi < ncols:
-            x[bi] = tab[i][total]
+    den = lp.den * b_scale
+    for r, bi in zip(lp.rows, lp.basis):
+        x[bi] = Fraction(scale[bi] * r[-1], den)
     objective = sum(ci * xi for ci, xi in zip(cost, x) if xi)
     return LpResult("optimal", tuple(x), objective, None, pivots)
 
 
-def _run_phase(tab, obj, basis, total, allowed, detect_unbounded=False):
-    """Bland-rule pivoting until no reduced cost is negative. Returns the
-    pivot count, or "unbounded" when asked to detect an unbounded column."""
-    pivots = 0
-    while True:
-        enter = next((j for j in range(allowed) if obj[j] < 0), None)
-        if enter is None:
-            return pivots
-        leave = None
-        best = None
-        for i in range(len(tab)):
-            a = tab[i][enter]
-            if a > 0:
-                ratio = tab[i][total] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
-        if leave is None:
-            if detect_unbounded:
-                return "unbounded"
-            raise ArithmeticError("phase 1 cannot be unbounded")
-        _pivot(tab, obj, basis, leave, enter)
-        pivots += 1
+class _Tableau:
+    """Integer rows and objective row over the shared denominator den; the
+    last entry of every row is its right-hand side."""
+
+    def __init__(self, rows: list[list[int]], obj: list[int], basis: list[int]):
+        self.rows = rows
+        self.obj = obj
+        self.basis = basis
+        self.den = 1
+
+    def run(self, allowed: int) -> int | None:
+        """Bland-rule pivoting among columns below allowed until no reduced
+        cost is negative. Returns the pivot count, or None when the entering
+        column has no positive entry (the objective is unbounded)."""
+        rows, basis = self.rows, self.basis
+        pivots = 0
+        while True:
+            obj = self.obj
+            enter = next((j for j in range(allowed) if obj[j] < 0), None)
+            if enter is None:
+                return pivots
+            # minimum ratio rhs / a over a > 0, compared by cross-multiplying
+            leave = None
+            for i, r in enumerate(rows):
+                a = r[enter]
+                if a > 0:
+                    if leave is None:
+                        leave, num, dnm = i, r[-1], a
+                        continue
+                    lhs, rhs = r[-1] * dnm, num * a
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                        leave, num, dnm = i, r[-1], a
+            if leave is None:
+                return None
+            self.pivot(leave, enter)
+            pivots += 1
+
+    def pivot(self, row: int, col: int) -> None:
+        rows, den = self.rows, self.den
+        pr = rows[row]
+        pv = pr[col]
+        if pv < 0:
+            pr = rows[row] = [-w for w in pr]
+            pv = -pv
+        for i, r in enumerate(rows):
+            if i != row:
+                rows[i] = _eliminate(r, pr, pv, den, col)
+        self.obj = _eliminate(self.obj, pr, pv, den, col)
+        self.basis[row] = col
+        self.den = pv
 
 
-def _pivot(tab, obj, basis, row, col):
-    pr = tab[row]
-    pv = pr[col]
-    if pv != 1:
-        inv = ONE / pv
-        tab[row] = pr = [v * inv for v in pr]
-    for r in tab:
-        if r is pr:
-            continue
-        f = r[col]
-        if f:
-            for j, v in enumerate(pr):
-                if v:
-                    r[j] -= f * v
-    f = obj[col]
+def _eliminate(r: list[int], pr: list[int], pv: int, den: int, col: int) -> list[int]:
+    """One fraction-free elimination step: (a*pv - f*w) / den, exactly."""
+    f = r[col]
     if f:
-        for j, v in enumerate(pr):
-            if v:
-                obj[j] -= f * v
-    basis[row] = col
+        return [(a * pv - f * w) // den for a, w in zip(r, pr)]
+    if pv == den:
+        return r
+    return [a * pv // den for a in r]

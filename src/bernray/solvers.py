@@ -73,6 +73,9 @@ class ProjectionResult:
     density: Density
     iterations: int
     gap: Fraction
+    #: True only when the duality gap reached the tolerance; False when the
+    #: iteration cap or a stalled step ended the search first
+    converged: bool
     #: the columns lam indexes: the full ray matrix in ray mode, the
     #: LP-discovered vertex subset in direct mode
     columns: tuple[Density, ...] = ()
@@ -255,17 +258,18 @@ def nearest_feasible_correlation(
             fit.density,
             0,
             ZERO,
+            True,
             tuple(rays.columns),
         )
 
-    lam, iterations, gap = _frank_wolfe(
+    lam, iterations, gap, converged = _frank_wolfe(
         [list(r) for r in amap.entries],
         _pair_weights(cls),
         list(mu_t.values),
         gap_tolerance,
         max_iterations,
     )
-    return _projection_result(cls, rays.columns, lam, mu_t, iterations, gap)
+    return _projection_result(cls, rays.columns, lam, mu_t, iterations, gap, converged)
 
 
 def _projection_result(
@@ -275,6 +279,7 @@ def _projection_result(
     mu_t: PairMoments,
     iterations: int,
     gap: Fraction,
+    converged: bool,
 ) -> ProjectionResult:
     weights = _pair_weights(cls)
     entries = _pair_moment_rows(cls.m, columns)
@@ -295,6 +300,7 @@ def _projection_result(
         density,
         iterations,
         gap,
+        converged,
         tuple(columns),
     )
 
@@ -334,6 +340,7 @@ def _nearest_direct(
             fit.density,
             0,
             ZERO,
+            True,
             (fit.density,),
         )
 
@@ -347,9 +354,10 @@ def _nearest_direct(
     lam = [ONE]
     total_iters = 0
     gap = ZERO
+    converged = False
     while total_iters < max_iterations:
         entries = _pair_moment_rows(m, vertices)
-        lam, inner_iters, _ = _frank_wolfe(
+        lam, inner_iters, _, _ = _frank_wolfe(
             entries, weights, list(mu_t.values), gap_tolerance, max_iterations - total_iters
         )
         total_iters += max(inner_iters, 1)
@@ -370,13 +378,14 @@ def _nearest_direct(
         oracle = solve_lp(margin_rows, margin_b, c=grad)
         gap = current - oracle.objective
         if gap <= gap_tolerance:
+            converged = True
             break
         new_vertex = Density(m, oracle.x)
         if new_vertex in vertices:
             break
         vertices.append(new_vertex)
         lam = lam + [ZERO]
-    return _projection_result(cls, tuple(vertices), lam, mu_t, total_iters, gap)
+    return _projection_result(cls, tuple(vertices), lam, mu_t, total_iters, gap, converged)
 
 
 def _map_apply(entries: Sequence[Sequence[Fraction]], lam: Sequence[Fraction]) -> list[Fraction]:
@@ -389,11 +398,12 @@ def _frank_wolfe(
     target: list[Fraction],
     gap_tolerance: Fraction,
     max_iterations: int,
-) -> tuple[list[Fraction], int, Fraction]:
+) -> tuple[list[Fraction], int, Fraction, bool]:
     """Minimize sum_k w_k ((A lam)_k - t_k)^2 over the simplex.
 
     Away-step variant with exact rational line search; deterministic tie
-    breaks (lowest index). Returns (lam, iterations, final gap)."""
+    breaks (lowest index). Returns (lam, iterations, final gap, whether the
+    gap reached gap_tolerance)."""
     nrows = len(columns_by_row)
     n = len(columns_by_row[0])
 
@@ -411,6 +421,7 @@ def _frank_wolfe(
     lam[best_i] = ONE
 
     gap = ZERO
+    converged = False
     iterations = 0
     for iterations in range(1, max_iterations + 1):
         mu = _map_apply(columns_by_row, lam)
@@ -424,6 +435,7 @@ def _frank_wolfe(
         s = min(range(n), key=lambda i: (g[i], i))
         gap = g_lam - g[s]
         if gap <= gap_tolerance:
+            converged = True
             break
         active = [i for i, v in enumerate(lam) if v > 0]
         a = max(active, key=lambda i: (g[i], -i))
@@ -455,4 +467,4 @@ def _frank_wolfe(
         lam = [v if v > 0 else ZERO for v in lam]
         if max(v.denominator for v in lam).bit_length() > _FW_SNAP_BITS:
             lam = _snap_simplex(lam)
-    return lam, iterations, gap
+    return lam, iterations, gap, converged

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from bernray import FrechetClass, margin_rays, moment_map, verify_farkas
 from bernray.cli import main
 
 F = Fraction
@@ -206,3 +207,56 @@ def test_precision_flag(tmp_path):
     decs = rep["rays"][0]["decimal"]
     for d in decs:
         assert len(str(d).split(".")[-1]) <= 4
+
+
+# rho = -1 is a valid correlation, but with p = (1/2, 1/10) it implies the
+# pair moment -1/10, outside [0, 1].
+OUT_OF_RANGE_SPEC = {"m": 2, "p": ["1/2", "1/10"], "rho": ["-1"]}
+
+
+def _stated_rows(rep):
+    """The LP rows and right-hand side that the certificate's rows note
+    names for the m = 2 spec above, with b holding the reported
+    (out-of-range) target moment."""
+    p = [F(v) for v in rep["p"]["exact"]]
+    mu2 = [F(v) for v in rep["mu2_target"]["exact"]]
+    if rep["certificate"]["rows"].startswith("pair-moment rows"):
+        rays = margin_rays(FrechetClass(p))
+        rows = [list(r) for r in moment_map(rays, 2).entries] + [[F(1)] * rays.n_rays]
+        return rows, mu2 + [F(1)]
+    n = 1 << len(p)
+    rows = [[F((k >> i) & 1) for k in range(n)] for i in range(len(p))]
+    rows.append([F(int(k & 3 == 3)) for k in range(n)])
+    rows.append([F(1)] * n)
+    return rows, p + mu2 + [F(1)]
+
+
+@pytest.mark.parametrize("command", ["fit", "minimize", "sample"])
+def test_out_of_range_implied_moment_exits_2_with_certificate(tmp_path, command):
+    spec = write_spec(tmp_path, OUT_OF_RANGE_SPEC)
+    code, rep = run_cli(tmp_path, [command, "--input", spec, "--n", "10"])
+    assert code == 2
+    assert rep["status"] == "infeasible"
+    assert rep["mu2_target"]["exact"] == ["-1/10"]
+    rows, b = _stated_rows(rep)
+    y = [F(v) for v in rep["certificate"]["y"]]
+    assert verify_farkas(rows, b, y)
+
+
+@pytest.mark.parametrize("mode", ["rays", "direct"])
+def test_out_of_range_implied_moment_nearest_projects(tmp_path, mode):
+    spec = write_spec(tmp_path, OUT_OF_RANGE_SPEC)
+    code, rep = run_cli(tmp_path, ["nearest", "--input", spec, "--mode", mode])
+    assert code == 0
+    assert rep["status"] == "projected"
+    # the attainable correlation closest to -1 is the lower Frechet bound
+    assert rep["mu2_star"]["exact"] == ["0"]
+    assert rep["rho_star"]["exact"] == ["-1/3"]
+    assert rep["fw"]["converged"] is True
+
+
+def test_user_mu2_outside_unit_interval_exits_3(tmp_path, capsys):
+    spec = write_spec(tmp_path, {"m": 2, "p": ["1/2", "1/10"], "mu2": ["-1/10"]})
+    code = main(["fit", "--input", spec, "--output", str(tmp_path / "x.json")])
+    assert code == 3
+    assert "outside [0, 1]" in capsys.readouterr().err

@@ -172,6 +172,19 @@ def test_projection_direct_mode_matches_ray_mode(sym3, sym3_rays):
     assert pair_moments_of(direct.density).values == direct.mu2_star.values
 
 
+@pytest.mark.parametrize("mode", ["rays", "direct"])
+def test_projection_reports_convergence(sym3, sym3_rays, mode):
+    rays = sym3_rays if mode == "rays" else None
+    full = nearest_feasible_correlation(sym3, RHO_INFEASIBLE, rays=rays, mode=mode)
+    assert full.converged is True
+    capped = nearest_feasible_correlation(
+        sym3, RHO_INFEASIBLE, rays=rays, mode=mode, max_iterations=1
+    )
+    assert capped.status == "projected"
+    assert capped.converged is False
+    assert capped.gap > F(1, 10**12)
+
+
 def test_projection_deterministic(sym3, sym3_rays):
     a = nearest_feasible_correlation(sym3, RHO_INFEASIBLE, rays=sym3_rays)
     b = nearest_feasible_correlation(sym3, RHO_INFEASIBLE, rays=sym3_rays)
