@@ -1,14 +1,15 @@
 """Attainable ranges of pairwise association in a margin-fixed class.
 
-Two independent routes to the same quantities, kept separate on purpose so
-they can be cross-checked exactly:
+The attainable range of every E[X_i X_j] is the Frechet-Hoeffding range
+[max(0, p_i + p_j - 1), min(p_i, p_j)]: each pair's range depends on its own
+two margins only, whatever m is. The paper reads the same range off the rows
+of the pair-moment map of the class's extreme rays; the tests keep that ray
+route as the oracle for this closed form.
 
-* ray route: row-wise minima and maxima of the pair-moment map of the ray
-  matrix give the exact attainable range of every E[X_i X_j];
-* closed-form route (bivariate only): the pointwise extremal CDFs
-  max(F_1 + F_2 - 1, 0) and min(F_1, F_2) pin the two extreme densities, and
-  with them the interaction-coefficient and correlation ranges, split by
-  whether q_1 + q_2 exceeds 1.
+For two margins the pointwise extremal CDFs max(F_1 + F_2 - 1, 0) and
+min(F_1, F_2) also pin the two extreme densities, and with them the
+interaction-coefficient and correlation ranges, split by whether q_1 + q_2
+exceeds 1.
 
 Also here: the attainable range of each margin when all pair moments are
 prescribed instead (the transposed problem over the pair-moment cone).
@@ -17,24 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
-from .cone import (
-    DIMENSION_CAP,
-    MomentMap,
-    RayMatrix,
-    build_h2,
-    extreme_rays,
-    margin_rays,
-    moment_map,
-)
+from .cone import MomentMap, RayMatrix, moment_map, pair_moment_rays
 from .frechet import (
-    CorrelationSpec,
     Density,
     FrechetClass,
     PairMoments,
+    _pair_scale,
     exact_sqrt,
-    pair_list,
 )
 
 ZERO = Fraction(0)
@@ -54,32 +45,26 @@ class PairBounds:
     rho_hi: tuple[Fraction, ...]
 
 
-def pair_bounds(cls: FrechetClass, rays: RayMatrix | None = None) -> PairBounds:
-    """Row min/max of the pair-moment map over the class rays. The moment
-    endpoints are exact rationals; the correlation endpoints go through the
-    square-root policy."""
-    if rays is None:
-        rays = margin_rays(cls)
-    amap = moment_map(rays, 2)
+def pair_moment_range(p_i: Fraction, p_j: Fraction) -> tuple[Fraction, Fraction]:
+    """Frechet-Hoeffding range of E[X_i X_j] for margins p_i and p_j."""
+    return max(p_i + p_j - 1, ZERO), min(p_i, p_j)
+
+
+def pair_bounds(cls: FrechetClass) -> PairBounds:
+    """Closed-form moment range of every pair, in lexicographic pair order.
+    The moment endpoints are exact rationals; the correlation endpoints go
+    through the square-root policy."""
+    pairs = tuple(cls.pairs())
     lo, hi, rlo, rhi = [], [], [], []
-    for (i, j), row in zip(amap.labels, amap.entries):
-        mn, mx = min(row), max(row)
+    for i, j in pairs:
+        p_i, p_j = cls.p[i - 1], cls.p[j - 1]
+        mn, mx = pair_moment_range(p_i, p_j)
+        scale = _pair_scale(cls, i - 1, j - 1)
         lo.append(mn)
         hi.append(mx)
-        scale = exact_sqrt(
-            cls.p[i - 1] * (1 - cls.p[i - 1]) * cls.p[j - 1] * (1 - cls.p[j - 1])
-        )
-        centre = cls.p[i - 1] * cls.p[j - 1]
-        rlo.append((mn - centre) / scale)
-        rhi.append((mx - centre) / scale)
-    return PairBounds(
-        cls.m,
-        tuple((i, j) for i, j in amap.labels),
-        tuple(lo),
-        tuple(hi),
-        tuple(rlo),
-        tuple(rhi),
-    )
+        rlo.append((mn - p_i * p_j) / scale)
+        rhi.append((mx - p_i * p_j) / scale)
+    return PairBounds(cls.m, pairs, tuple(lo), tuple(hi), tuple(rlo), tuple(rhi))
 
 
 # ---------------------------------------------------------------------------
@@ -139,12 +124,13 @@ def bivariate_summary(cls: FrechetClass) -> BivariateSummary:
     else:
         rho_lo = -exact_sqrt(p1 * p2 / (q1 * q2))
     rho_hi = exact_sqrt(p2 * q1 / (p1 * q2))
+    moment_lo, moment_hi = pair_moment_range(*cls.p)
     return BivariateSummary(
         cls,
         lower,
         upper,
-        moment_lo=max(cls.p[0] + cls.p[1] - 1, ZERO),
-        moment_hi=min(cls.p[0], cls.p[1]),
+        moment_lo=moment_lo,
+        moment_hi=moment_hi,
         theta_lo=theta_lo,
         theta_hi=theta_hi,
         rho_lo=rho_lo,
@@ -193,14 +179,10 @@ class MarginBounds:
     first_moment_map: MomentMap
 
 
-def margin_bounds_given_mu2(
-    m: int, mu2: PairMoments, m_cap: int = DIMENSION_CAP
-) -> MarginBounds:
+def margin_bounds_given_mu2(m: int, mu2: PairMoments) -> MarginBounds:
     """Row min/max of the first-order moment map over the pair-moment cone
     rays. Raises EmptyConeError when the prescription admits no mass at all."""
-    from .cone import pair_moment_rays
-
-    rays = pair_moment_rays(m, mu2, m_cap=m_cap)
+    rays = pair_moment_rays(m, mu2)
     amap = moment_map(rays, 1)
     lo = tuple(min(row) for row in amap.entries)
     hi = tuple(max(row) for row in amap.entries)

@@ -34,7 +34,7 @@ from .report import (
     write_json_atomic,
     _write_atomic,
 )
-from .sampling import sample as draw_sample
+from .sampling import empirical_moments, sample as draw_sample
 from .solvers import (
     FitResult,
     fit_density_direct,
@@ -126,10 +126,12 @@ def run(args) -> tuple[dict, int]:
             raise SpecError("--seed: must fit in 64 bits")
         spec.seed = args.seed
     if args.n is not None:
-        if args.n < 0:
-            raise SpecError("--n: must be >= 0")
+        if args.n < 1:
+            raise SpecError("--n: must be >= 1")
         spec.n = args.n
     precision = args.precision
+    if precision < 1:
+        raise SpecError("--precision: must be >= 1")
     paper = args.paper_order
     if args.csv and args.command not in ("rays", "sample"):
         raise SpecError("--csv: delimited export is defined for rays and sample only")
@@ -164,10 +166,8 @@ def run(args) -> tuple[dict, int]:
             report["csv_path"] = args.csv
 
     elif args.command == "bounds":
-        rays = margin_rays(cls)
-        pb = pair_bounds(cls, rays)
+        pb = pair_bounds(cls)
         report["status"] = "ok"
-        report["ray_count"] = rays.n_rays
         report["pairs"] = [
             {
                 "i": i,
@@ -262,12 +262,8 @@ def run(args) -> tuple[dict, int]:
                 "n": batch.n,
                 "seed": batch.seed,
                 "generator_id": batch.generator_id,
-                "empirical_order1": vector_field(
-                    _emp(batch, 1), precision
-                ),
-                "empirical_order2": vector_field(
-                    _emp(batch, 2), precision
-                ),
+                "empirical_order1": vector_field(empirical_moments(batch, 1), precision),
+                "empirical_order2": vector_field(empirical_moments(batch, 2), precision),
             }
             if args.csv:
                 _write_atomic(sample_csv_text(batch), args.csv)
@@ -303,12 +299,6 @@ def run(args) -> tuple[dict, int]:
 
     report["diagnostics"] = {"elapsed_s": round(time.perf_counter() - t0, 6)}
     return report, code
-
-
-def _emp(batch, order):
-    from .sampling import empirical_moments
-
-    return empirical_moments(batch, order)
 
 
 def main(argv=None) -> int:

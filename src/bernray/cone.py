@@ -22,8 +22,8 @@ from math import gcd
 from typing import Sequence
 
 from .frechet import Density, FrechetClass, PairMoments, subset_list
-from .tensor import as_fraction
 
+#: Largest m for ray enumeration: m=6 already has 707,264 rays.
 DIMENSION_CAP = 6
 
 
@@ -237,18 +237,16 @@ def _adjacent(processed: list[tuple[int, ...]], union: int, width: int) -> bool:
     return _int_rank(sub) == width - 2
 
 
-def extreme_rays(matrix: ConstraintMatrix, m_cap: int = DIMENSION_CAP) -> RayMatrix:
+def extreme_rays(matrix: ConstraintMatrix) -> RayMatrix:
     """Enumerate the extreme rays of {f >= 0 : matrix rows . f = 0} and
     normalize each to a unit-mass Density.
 
-    Refuses m above the cap (default 6); raise the cap explicitly to run the
-    larger benchmarks. Deterministic: insertion in stored row order, columns
-    sorted lexicographically by value.
+    Refuses m above DIMENSION_CAP. Deterministic: insertion in stored row
+    order, columns sorted lexicographically by value.
     """
-    if matrix.m > m_cap:
+    if matrix.m > DIMENSION_CAP:
         raise DimensionCapError(
-            f"ray enumeration for m={matrix.m} exceeds the cap of {m_cap}; "
-            "pass a larger m_cap to force it"
+            f"ray enumeration for m={matrix.m} exceeds the cap of {DIMENSION_CAP}"
         )
     n = 1 << matrix.m
     int_rows = _integer_rows(matrix.rows)
@@ -262,9 +260,10 @@ def extreme_rays(matrix: ConstraintMatrix, m_cap: int = DIMENSION_CAP) -> RayMat
 
 
 def moment_map(rays: RayMatrix, order: int) -> MomentMap:
-    """Raw moments of the given interaction order for every ray column."""
-    if not 1 <= order <= rays.m:
-        raise ValueError(f"moment order {order} outside 1..{rays.m}")
+    """Raw moments of the given interaction order for every ray column. An
+    order above m has no subsets and gives a map with no rows."""
+    if order < 1:
+        raise ValueError(f"moment order {order} is below 1")
     subsets = list(itertools.combinations(range(rays.m), order))
     entries = []
     for subset in subsets:
@@ -279,17 +278,17 @@ def moment_map(rays: RayMatrix, order: int) -> MomentMap:
     return MomentMap(rays.m, order, labels, tuple(entries), rays)
 
 
-def margin_rays(cls: FrechetClass, m_cap: int = DIMENSION_CAP) -> RayMatrix:
+def margin_rays(cls: FrechetClass) -> RayMatrix:
     """Extreme ray densities of the class itself."""
-    return extreme_rays(build_h(cls), m_cap=m_cap)
+    return extreme_rays(build_h(cls))
 
 
-def pair_moment_rays(m: int, mu2: PairMoments, m_cap: int = DIMENSION_CAP) -> RayMatrix:
+def pair_moment_rays(m: int, mu2: PairMoments) -> RayMatrix:
     """Extreme ray densities of the cone with prescribed pair moments.
 
     Raises EmptyConeError when only the origin satisfies the constraints,
     which happens for genuinely incompatible mu2 prescriptions."""
-    rays = extreme_rays(build_h2(m, mu2), m_cap=m_cap)
+    rays = extreme_rays(build_h2(m, mu2))
     if rays.n_rays == 0:
         raise EmptyConeError(f"no nonzero f >= 0 attains the pair moments {mu2.values}")
     return rays

@@ -25,10 +25,11 @@ from math import isqrt
 from typing import Sequence
 
 from .tensor import (
+    CUMSUM_2,
     DIFF_2,
     MOMENT_2,
-    Matrix,
     RationalLike,
+    Stencil,
     as_fraction,
     kron_apply,
 )
@@ -247,8 +248,7 @@ def _clamp_unit(v: Fraction) -> Fraction | None:
 
 def cdf_from_density(f: Density) -> Cdf:
     """F(x) = sum of f over points componentwise <= x (running sums per axis)."""
-    cumsum = Matrix([[1, 0], [1, 1]])
-    return Cdf(f.m, kron_apply([cumsum] * f.m, f.values))
+    return Cdf(f.m, kron_apply([CUMSUM_2] * f.m, f.values))
 
 
 def density_from_cdf(F: Cdf) -> Density:
@@ -266,12 +266,12 @@ def density_from_cdf(F: Cdf) -> Density:
 # prefactor is prod q_i^(1-x_i).
 
 
-def _theta_factor(p_i: Fraction) -> Matrix:
-    return Matrix([[1, p_i], [1, 0]])
+def _theta_factor(p_i: Fraction) -> Stencil:
+    return (1, p_i, 1, 0)
 
 
-def _theta_factor_inv(p_i: Fraction) -> Matrix:
-    return Matrix([[0, 1], [Fraction(1, 1) / p_i, -Fraction(1, 1) / p_i]])
+def _theta_factor_inv(p_i: Fraction) -> Stencil:
+    return (0, 1, 1 / p_i, -1 / p_i)
 
 
 def _corner_weights(cls: FrechetClass) -> list[Fraction]:
@@ -329,14 +329,14 @@ def select_moments(moments: Sequence[Fraction], order: int) -> tuple[Fraction, .
 
     Order 1 returns the margins coordinate-ascending; order 2 returns pair
     moments in lexicographic pair order; higher orders follow the same
-    subset-lexicographic rule.
+    subset-lexicographic rule. An order above m has no subsets and gives ().
     """
     n = len(moments)
     m = n.bit_length() - 1
     if 1 << m != n:
         raise ValueError(f"moment vector length {n} is not a power of 2")
-    if not 0 <= order <= m:
-        raise ValueError(f"order {order} outside 0..{m}")
+    if order < 0:
+        raise ValueError(f"moment order {order} is negative")
     out = []
     for subset in itertools.combinations(range(m), order):
         idx = 0

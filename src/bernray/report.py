@@ -27,8 +27,9 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Any, Sequence
 
+from .cone import DimensionCapError
 from .frechet import CorrelationSpec, Density, FrechetClass, PairMoments
-from .tensor import parse_rational
+from .tensor import SUPPORT_CAP, parse_rational
 
 DEFAULT_PRECISION = 12
 
@@ -107,6 +108,8 @@ def parse_problem_spec(obj: Any) -> ProblemSpec:
     m = _want_int(obj, "m", "m")
     if m < 1:
         raise SpecError(f"m: must be >= 1, got {m}")
+    if m > SUPPORT_CAP:
+        raise DimensionCapError(f"m={m} exceeds the cap of {SUPPORT_CAP} on the support size 2^m")
     if "p" not in obj:
         raise SpecError("p: required")
     p = _rational_array(obj["p"], "p", m)
@@ -140,8 +143,8 @@ def parse_problem_spec(obj: Any) -> ProblemSpec:
     n = options.get("n")
     if n is not None:
         n = _want_int(options, "n", "options.n")
-        if n < 0:
-            raise SpecError(f"options.n: must be >= 0, got {n}")
+        if n < 1:
+            raise SpecError(f"options.n: must be >= 1, got {n}")
     return ProblemSpec(m, p, rho, mu2, mode, objective, seed, n)
 
 

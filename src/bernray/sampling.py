@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import csv
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Iterator, Sequence
+from typing import IO, Iterator
 
-from .frechet import Density
+from .frechet import Density, moment_vector, select_moments
 
 GENERATOR_ID = "splitmix64-v1"
 
@@ -83,19 +84,10 @@ def sample(f: Density, n: int, seed: int) -> SampleBatch:
 
 def empirical_moments(batch: SampleBatch, order: int) -> tuple[Fraction, ...]:
     """Exact rational empirical raw moments of the given order, subsets in
-    lexicographic order (order 1: margins; order 2: pair products)."""
-    import itertools
-
+    lexicographic order (order 1: margins; order 2: pair products), read
+    from the empirical density of the batch."""
     if batch.n == 0:
         raise ValueError("empty batch has no moments")
-    m = batch.m
-    if not 1 <= order <= m:
-        raise ValueError(f"moment order {order} outside 1..{m}")
-    out = []
-    for subset in itertools.combinations(range(m), order):
-        mask = 0
-        for c in subset:
-            mask |= 1 << c
-        hits = sum(1 for code in batch.codes if (code & mask) == mask)
-        out.append(Fraction(hits, batch.n))
-    return tuple(out)
+    counts = Counter(batch.codes)
+    f = Density(batch.m, [Fraction(counts[j], batch.n) for j in range(1 << batch.m)])
+    return select_moments(moment_vector(f), order)

@@ -25,7 +25,6 @@ from math import comb, sqrt
 from typing import Sequence
 
 from .cone import (
-    DIMENSION_CAP,
     MomentMap,
     RayMatrix,
     margin_rays,
@@ -40,7 +39,7 @@ from .frechet import (
     mu2_from_rho,
     rho_from_mu2,
 )
-from .simplex import LpResult, solve_lp
+from .simplex import solve_lp
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -166,14 +165,14 @@ def minimize_higher_moments(cls: FrechetClass, mu2: PairMoments) -> FitResult:
 
 
 def solve_margins_given_mu2(
-    m: int, mu2: PairMoments, target_p: Sequence[Fraction], m_cap: int = DIMENSION_CAP
+    m: int, mu2: PairMoments, target_p: Sequence[Fraction]
 ) -> FitResult:
     """Transposed problem: prescribe all pair moments, ask whether the margin
     vector target_p is attainable, via weights over the pair-moment cone rays."""
     targets = [Fraction(v) for v in target_p]
     if len(targets) != m:
         raise ValueError(f"need {m} target margins, got {len(targets)}")
-    rays = pair_moment_rays(m, mu2, m_cap=m_cap)
+    rays = pair_moment_rays(m, mu2)
     amap = moment_map(rays, 1)
     n = rays.n_rays
     rows = [list(r) for r in amap.entries]
@@ -218,7 +217,6 @@ def nearest_feasible_correlation(
     rho: CorrelationSpec,
     rays: RayMatrix | None = None,
     mode: str = "rays",
-    m_cap: int = DIMENSION_CAP,
     gap_tolerance: Fraction = FW_GAP_TOLERANCE,
     max_iterations: int = FW_MAX_ITERATIONS,
 ) -> ProjectionResult:
@@ -242,7 +240,7 @@ def nearest_feasible_correlation(
     if mode != "rays":
         raise ValueError(f"unknown projection mode {mode!r}")
     if rays is None:
-        rays = margin_rays(cls, m_cap=m_cap)
+        rays = margin_rays(cls)
     amap = moment_map(rays, 2)
 
     fit = fit_lambda(amap, mu_t)

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the library's own algorithms: vertex
 enumeration by brute-force basis inspection instead of double description,
-LP optima by scanning vertices, projection by grid descent in floats, and
-moments by direct summation over support points.
+LP optima by scanning vertices, projection by grid descent in floats,
+moments by direct summation over support points, pair bounds read off the
+rays, and Kronecker products formed densely.
 """
 from __future__ import annotations
 
@@ -141,6 +142,29 @@ def direct_pair_moments(values):
         mask = (1 << i) | (1 << j)
         out.append(sum(v for k, v in enumerate(values) if (k & mask) == mask))
     return out
+
+
+def ray_pair_bounds(p, rays, sqrt):
+    """The ray route to pair bounds, as the paper reads them off the rays:
+    row min and max of the pair moments of the ray columns (direct
+    summation), rendered as correlations (mu - p_i p_j) / sqrt(p_i q_i p_j q_j)
+    under the given square-root policy. Returns (moment_lo, moment_hi,
+    rho_lo, rho_hi), lexicographic pair order."""
+    rows = list(zip(*(direct_pair_moments(list(col)) for col in rays.column_values())))
+    lo, hi = [min(r) for r in rows], [max(r) for r in rows]
+    rho_lo, rho_hi = [], []
+    for (i, j), mn, mx in zip(itertools.combinations(range(len(p)), 2), lo, hi):
+        centre = p[i] * p[j]
+        scale = sqrt(p[i] * (1 - p[i]) * p[j] * (1 - p[j]))
+        rho_lo.append((mn - centre) / scale)
+        rho_hi.append((mx - centre) / scale)
+    return lo, hi, rho_lo, rho_hi
+
+
+def dense_kron(a, b):
+    """Kronecker product of two dense matrices given as lists of rows, a as
+    the slow (leading) factor."""
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
 
 
 def grid_projection_distance(columns, weights, target, resolution=8, shrink_rounds=60):

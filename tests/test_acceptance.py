@@ -23,6 +23,7 @@ from bernray import (
     cdf_from_theta,
     density_from_cdf,
     empirical_moments,
+    exact_sqrt,
     fit_lambda,
     margin_rays,
     margins_of,
@@ -151,10 +152,12 @@ def test_criterion_2_correlation_bounds(capsys, sym3_rays, mix3_rays, skew3_rays
     classes = {"sym": (SYM3, sym3_rays), "mix": (MIX3, mix3_rays), "skew": (SKEW3, skew3_rays)}
     worst = F(0)
     for key, (cls, rays) in classes.items():
-        pb = pair_bounds(cls, rays)
+        _, _, rho_lo, rho_hi = oracles.ray_pair_bounds(cls.p, rays, exact_sqrt)
+        pb = pair_bounds(cls)
         lo_ref, hi_ref = BOUNDS_TABLE[key]
         for k in range(3):
-            worst = max(worst, abs(pb.rho_lo[k] - lo_ref[k]), abs(pb.rho_hi[k] - hi_ref[k]))
+            for lo, hi in ((rho_lo[k], rho_hi[k]), (pb.rho_lo[k], pb.rho_hi[k])):
+                worst = max(worst, abs(lo - lo_ref[k]), abs(hi - hi_ref[k]))
     _report(
         capsys, 2, "published correlation bounds",
         worst <= TOL, f"max deviation {float(worst):.2e} <= 5e-4",
@@ -165,10 +168,12 @@ def test_criterion_3_closed_form_cross_check(capsys, sym3_rays, mix3_rays, skew3
     classes = [(SYM3, sym3_rays), (MIX3, mix3_rays), (SKEW3, skew3_rays)]
     ok = True
     for cls, rays in classes:
-        pb = pair_bounds(cls, rays)
+        lo, hi, _, _ = oracles.ray_pair_bounds(cls.p, rays, exact_sqrt)
+        pb = pair_bounds(cls)
         for k, (i, j) in enumerate(pb.pairs):
             s = bivariate_summary(FrechetClass([cls.p[i - 1], cls.p[j - 1]]))
-            ok = ok and pb.moment_lo[k] == s.moment_lo and pb.moment_hi[k] == s.moment_hi
+            ok = ok and lo[k] == pb.moment_lo[k] == s.moment_lo
+            ok = ok and hi[k] == pb.moment_hi[k] == s.moment_hi
     _report(
         capsys, 3, "ray bounds equal bivariate closed form",
         ok, "exact rational equality, 9 pairs",

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from bernray import (
@@ -11,7 +13,9 @@ from bernray import (
     bivariate_mixture,
     bivariate_summary,
     bivariate_weight_of,
+    exact_sqrt,
     margin_bounds_given_mu2,
+    margin_rays,
     pair_bounds,
 )
 from conftest import random_class
@@ -77,14 +81,19 @@ def test_summary_is_label_symmetric():
             assert getattr(a, name) == getattr(b, name), name
 
 
+def _ray_route(cls, rays=None):
+    return oracles.ray_pair_bounds(cls.p, margin_rays(cls) if rays is None else rays, exact_sqrt)
+
+
 def test_pair_bounds_agree_with_bivariate_closed_form():
     rng = random.Random(67)
     for _ in range(15):
         cls = random_class(rng, 2)
         pb = pair_bounds(cls)
         s = bivariate_summary(cls)
-        assert pb.moment_lo[0] == s.moment_lo
-        assert pb.moment_hi[0] == s.moment_hi
+        lo, hi, _, _ = _ray_route(cls)
+        assert pb.moment_lo[0] == lo[0]
+        assert pb.moment_hi[0] == hi[0]
         # moment endpoints are exact; correlation endpoints may differ by the
         # square-root approximation of two different radicands
         assert abs(pb.rho_lo[0] - s.rho_lo) < F(1, 10**45)
@@ -92,12 +101,28 @@ def test_pair_bounds_agree_with_bivariate_closed_form():
 
 
 def test_pair_bounds_m3_rows_match_marginalized_bivariate(skew3, skew3_rays):
-    pb = pair_bounds(skew3, skew3_rays)
+    pb = pair_bounds(skew3)
+    lo, hi, _, _ = _ray_route(skew3, skew3_rays)
+    assert list(pb.moment_lo) == lo
+    assert list(pb.moment_hi) == hi
     for k, (i, j) in enumerate(pb.pairs):
         sub = FrechetClass([skew3.p[i - 1], skew3.p[j - 1]])
         s = bivariate_summary(sub)
         assert pb.moment_lo[k] == s.moment_lo
         assert pb.moment_hi[k] == s.moment_hi
+
+
+_margins = st.integers(2, 12).flatmap(lambda d: st.integers(1, d - 1).map(lambda n: F(n, d)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda m: st.lists(_margins, min_size=m, max_size=m)))
+def test_pair_bounds_closed_form_equals_ray_route(p):
+    cls = FrechetClass(p)
+    pb = pair_bounds(cls)
+    assert pb.pairs == tuple(cls.pairs())
+    got = (pb.moment_lo, pb.moment_hi, pb.rho_lo, pb.rho_hi)
+    assert tuple(map(list, got)) == _ray_route(cls)
 
 
 def test_mixture_weight_round_trip():

@@ -180,6 +180,76 @@ def test_dimension_cap_exits_4(tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize("m", [1, 7])
+def test_bounds_closed_form_at_any_m(tmp_path, m):
+    # no ray enumeration: m=1 has no pairs and m=7 is above the ray cap
+    spec = write_spec(tmp_path, {"m": m, "p": ["1/3"] * m})
+    code, rep = run_cli(tmp_path, ["bounds", "--input", spec])
+    assert code == 0
+    assert "ray_count" not in rep
+    assert len(rep["pairs"]) == m * (m - 1) // 2
+    for row in rep["pairs"]:
+        assert (row["moment_lo"]["exact"], row["moment_hi"]["exact"]) == ("0", "1/3")
+
+
+@pytest.mark.parametrize(
+    "spec_n, argv",
+    [(None, ["--n", "0"]), (None, ["--n", "-3"]), (0, []), (0, ["--n", "0"])],
+)
+def test_sample_size_below_one_exits_3(tmp_path, capsys, spec_n, argv):
+    options = {} if spec_n is None else {"options": {"n": spec_n}}
+    spec = write_spec(tmp_path, {**SYM3_SPEC, **RHO_OK, **options})
+    code, rep = run_cli(tmp_path, ["sample", "--input", spec] + argv)
+    assert code == 3
+    assert rep is None
+    assert "must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["rays", "bounds", "fit", "nearest", "minimize", "sample"])
+@pytest.mark.parametrize("precision", ["0", "-1"])
+def test_precision_below_one_exits_3(tmp_path, capsys, command, precision):
+    spec = write_spec(tmp_path, {**SYM3_SPEC, **RHO_OK})
+    code, rep = run_cli(
+        tmp_path, [command, "--input", spec, "--n", "10", "--precision", precision]
+    )
+    assert code == 3
+    assert rep is None
+    assert "--precision" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, mode",
+    [("fit", "rays"), ("nearest", "rays"), ("sample", "rays"), ("sample", "direct"),
+     ("nearest", "direct")],
+)
+def test_single_margin_has_empty_pair_arrays(tmp_path, command, mode):
+    spec = write_spec(tmp_path, {"m": 1, "p": ["1/3"], "rho": []})
+    code, rep = run_cli(tmp_path, [command, "--input", spec, "--mode", mode, "--n", "20"])
+    assert code == 0
+    assert rep["status"] == "feasible"
+    assert rep["mu2_target"]["exact"] == []
+    assert rep["density"]["exact"] == ["2/3", "1/3"]
+    if command == "nearest":
+        assert rep["rho_star"]["exact"] == rep["mu2_star"]["exact"] == []
+    if command == "sample":
+        assert rep["sample"]["empirical_order2"]["exact"] == []
+
+
+@pytest.mark.parametrize("command", ["bounds", "fit", "minimize", "sample", "theta"])
+@pytest.mark.parametrize("m", [9, 10**9])
+def test_m_above_support_cap_exits_4(tmp_path, capsys, command, m):
+    # the cap is checked at parse time, before anything builds the 2^m
+    # support: m = 10^9 would not finish otherwise
+    k = min(m, 9)
+    spec = write_spec(
+        tmp_path, {"m": m, "p": ["1/2"] * k, "mu2": ["1/4"] * (k * (k - 1) // 2)}
+    )
+    code, rep = run_cli(tmp_path, [command, "--input", spec, "--mode", "direct", "--n", "5"])
+    assert code == 4
+    assert rep is None
+    assert "exceeds the cap of 8" in capsys.readouterr().err
+
+
 def test_csv_rejected_outside_rays_sample(tmp_path):
     spec = write_spec(tmp_path, {**SYM3_SPEC, **RHO_OK})
     code = main(["fit", "--input", spec, "--output", str(tmp_path / "x.json"),

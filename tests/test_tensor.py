@@ -3,15 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from bernray.tensor import (
     DIFF_2,
-    MOMENT_2,
-    Matrix,
     enumerate_support,
-    format_rational,
-    kron,
     kron_apply,
-    kron_power,
     parse_rational,
     support_index,
 )
@@ -25,6 +21,12 @@ def test_parse_rational_forms():
     assert parse_rational(0.5) == Fraction(1, 2)
 
 
+def test_format_rational_round_trip():
+    # reports write exact fields with str; reading them back loses nothing
+    for s in ["0", "1", "-3/7", "22/7", "5"]:
+        assert str(parse_rational(s)) == s
+
+
 def test_parse_rational_rejects_garbage():
     with pytest.raises(ValueError):
         parse_rational("1/0")
@@ -32,59 +34,40 @@ def test_parse_rational_rejects_garbage():
         parse_rational("abc")
 
 
-def test_format_rational_round_trip():
-    for s in ["0", "1", "-3/7", "22/7", "5"]:
-        assert format_rational(parse_rational(s)) == s
-
-
-def test_matrix_multiply_identity():
-    a = Matrix([[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]])
-    assert (Matrix.identity(2) @ a) == a
-    assert (a @ Matrix.identity(2)) == a
-
-
-def test_matrix_matvec():
-    a = Matrix([[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]])
-    assert a.matvec([Fraction(1), Fraction(1)]) == (Fraction(3), Fraction(7))
-
-
 def test_kron_small_known():
     # [[1,0],[-1,1]] (x) [[1,0],[-1,1]] worked out by hand
-    d2 = kron(DIFF_2, DIFF_2)
     expected = [
         [1, 0, 0, 0],
         [-1, 1, 0, 0],
         [-1, 0, 1, 0],
         [1, -1, -1, 1],
     ]
-    assert d2.data == tuple(tuple(Fraction(v) for v in row) for row in expected)
-
-
-def test_kron_power_shape():
-    k3 = kron_power(MOMENT_2, 3)
-    assert (k3.rows, k3.cols) == (8, 8)
+    d = [[1, 0], [-1, 1]]
+    assert oracles.dense_kron(d, d) == expected
+    cols = [kron_apply([DIFF_2, DIFF_2], [int(j == k) for j in range(4)]) for k in range(4)]
+    assert [list(row) for row in zip(*cols)] == expected
 
 
 def test_kron_apply_matches_dense_kron():
     rng = random.Random(7)
     for _ in range(20):
         m = rng.randint(1, 4)
-        factors = []
-        for _ in range(m):
-            factors.append(
-                Matrix(
-                    [
-                        [Fraction(rng.randint(-3, 3)) for _ in range(2)]
-                        for _ in range(2)
-                    ]
-                )
-            )
+        factors = [
+            tuple(Fraction(rng.randint(-3, 3)) for _ in range(4)) for _ in range(m)
+        ]
         vec = [Fraction(rng.randint(-5, 5)) for _ in range(1 << m)]
         # dense product: factor for coordinate m-1 is the slow (leftmost) one
-        dense = factors[-1]
-        for f in reversed(factors[:-1]):
-            dense = kron(dense, f)
-        assert kron_apply(factors, vec) == dense.matvec(vec)
+        dense = [[1]]
+        for a, b, c, d in reversed(factors):
+            dense = oracles.dense_kron(dense, [[a, b], [c, d]])
+        assert kron_apply(factors, vec) == tuple(
+            sum(x * y for x, y in zip(row, vec)) for row in dense
+        )
+
+
+def test_kron_apply_rejects_non_2x2_factor():
+    with pytest.raises(ValueError):
+        kron_apply([(1, 0, 1)], [1, 2])
 
 
 def test_support_order_and_index():
