@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cone import MomentMap, RayMatrix, moment_map, pair_moment_rays
+from .cone import MomentMap, moment_map, pair_moment_rays
 from .frechet import (
     Density,
     FrechetClass,
@@ -175,15 +175,13 @@ class MarginBounds:
     m: int
     lo: tuple[Fraction, ...]
     hi: tuple[Fraction, ...]
-    rays: RayMatrix
     first_moment_map: MomentMap
 
 
 def margin_bounds_given_mu2(m: int, mu2: PairMoments) -> MarginBounds:
     """Row min/max of the first-order moment map over the pair-moment cone
     rays. Raises EmptyConeError when the prescription admits no mass at all."""
-    rays = pair_moment_rays(m, mu2)
-    amap = moment_map(rays, 1)
+    amap = moment_map(pair_moment_rays(m, mu2), 1)
     lo = tuple(min(row) for row in amap.entries)
     hi = tuple(max(row) for row in amap.entries)
-    return MarginBounds(m, lo, hi, rays, amap)
+    return MarginBounds(m, lo, hi, amap)

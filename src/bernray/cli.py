@@ -1,6 +1,7 @@
 """Command line front end.
 
-Subcommands: rays, bounds, fit, nearest, minimize, sample, theta.
+Subcommands:
+{commands}
 Reports are JSON on stdout (or --output, written atomically); --csv adds the
 delimited export where one is defined (rays: one ray per column; sample: one
 draw per row).
@@ -14,12 +15,14 @@ import argparse
 import json
 import sys
 import time
+from typing import Callable, NamedTuple
 
 from .bounds import pair_bounds
 from .cone import DimensionCapError, margin_rays, moment_map
 from .frechet import mu2_from_rho, rho_from_mu2, theta_from_density
 from .report import (
     DEFAULT_PRECISION,
+    MAX_PRECISION,
     ProblemSpec,
     SpecError,
     order_note,
@@ -55,42 +58,25 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="bernray", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in [
-        ("rays", "enumerate the extreme ray densities of the class"),
-        ("bounds", "attainable pair-moment and correlation ranges"),
-        ("fit", "find a member matching the target pair moments"),
-        ("nearest", "project a correlation target onto the attainable set"),
-        ("minimize", "feasible member minimizing the summed order>=3 moments"),
-        ("sample", "fit a member, then draw from it deterministically"),
-        ("theta", "interaction coefficients of a given density"),
-    ]:
-        p = sub.add_parser(name, help=doc)
-        p.add_argument("--input", required=True, help="problem spec JSON file")
-        p.add_argument("--output", help="write the report here instead of stdout")
-        p.add_argument("--csv", help="delimited export (rays and sample only)")
-        p.add_argument("--mode", choices=["rays", "direct"], help="override options.mode")
-        p.add_argument("--paper-order", action="store_true",
-                       help="emit support-indexed vectors in complemented order")
-        p.add_argument("--seed", type=int, help="override options.seed")
-        p.add_argument("--n", type=int, help="override options.n")
-        p.add_argument("--precision", type=int, default=DEFAULT_PRECISION,
-                       help="significant digits of decimal renderings")
-        if name == "theta":
-            p.add_argument("--density", help="density JSON (a fit report works)")
-    return parser
-
-
 def _load_json(path: str) -> object:
     try:
         with open(path) as handle:
             return json.load(handle)
     except OSError as exc:
         raise SpecError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except RecursionError as exc:
+        raise SpecError(f"{path}: JSON nested too deeply") from exc
+    except ValueError as exc:  # bad JSON, bad UTF-8, an integer over the digit limit
         raise SpecError(f"{path}: not valid JSON ({exc})") from exc
+
+
+def _save(write: Callable[[object, str], None], payload, path: str) -> None:
+    """Write through an atomic writer; a path that cannot be written is an
+    input error."""
+    try:
+        write(payload, path)
+    except OSError as exc:
+        raise SpecError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _target_mu2(spec: ProblemSpec, cls):
@@ -104,9 +90,20 @@ def _target_mu2(spec: ProblemSpec, cls):
     return rho, mu2
 
 
-def _density_payload(density, precision, paper):
-    block = vector_field(reorder_support(density.values, paper), precision)
-    return block
+def _fit(spec: ProblemSpec, cls, mu2, minimize: bool) -> tuple[FitResult, str, int | None]:
+    """Pose the pair moments as one LP, over the 2^m masses (direct mode and
+    every minimize) or over the class's rays. Returns the fit, the rows its
+    certificate refers to, and the ray count (None in direct mode)."""
+    if minimize or spec.mode == "direct":
+        solve = minimize_higher_moments if minimize else fit_density_direct
+        return solve(cls, mu2), "margin rows 1..m, pair rows lexicographic, unit-sum row", None
+    rays = margin_rays(cls)
+    fit = fit_lambda(moment_map(rays, 2), mu2)
+    return fit, "pair-moment rows lexicographic over ray columns, unit-sum row", rays.n_rays
+
+
+def _density_payload(density, args) -> dict:
+    return vector_field(reorder_support(density.values, args.paper_order), args.precision)
 
 
 def _certificate_payload(fit: FitResult, rows_note: str) -> dict:
@@ -115,6 +112,191 @@ def _certificate_payload(fit: FitResult, rows_note: str) -> dict:
         "rows": rows_note,
         "meaning": "y.A >= 0 componentwise and y.b < 0 for the stated rows",
     }
+
+
+# ---------------------------------------------------------------------------
+# command handlers: each fills the report below the shared header and
+# returns the exit code
+
+
+def _rays(args, spec: ProblemSpec, cls, report: dict) -> int:
+    rays = margin_rays(cls)
+    report["status"] = "ok"
+    report["kind"] = rays.kind
+    report["ray_count"] = rays.n_rays
+    report["rays"] = [_density_payload(col, args) for col in rays.columns]
+    if args.csv:
+        text = rays_csv_text([c.values for c in rays.columns], spec.m, args.paper_order)
+        _save(_write_atomic, text, args.csv)
+        report["csv_path"] = args.csv
+    return EXIT_OK
+
+
+def _bounds(args, spec: ProblemSpec, cls, report: dict) -> int:
+    pb = pair_bounds(cls)
+    precision = args.precision
+    report["status"] = "ok"
+    report["pairs"] = [
+        {
+            "i": i,
+            "j": j,
+            "moment_lo": rational_field(ml, precision),
+            "moment_hi": rational_field(mh, precision),
+            "rho_lo": rational_field(rl, precision),
+            "rho_hi": rational_field(rh, precision),
+        }
+        for (i, j), ml, mh, rl, rh in zip(
+            pb.pairs, pb.moment_lo, pb.moment_hi, pb.rho_lo, pb.rho_hi
+        )
+    ]
+    return EXIT_OK
+
+
+def _fit_command(args, spec: ProblemSpec, cls, report: dict) -> int:
+    """fit and minimize; fit minimizes too under options.objective."""
+    minimize = args.command == "minimize" or spec.objective == "min-higher-moments"
+    rho, mu2 = _target_mu2(spec, cls)
+    report["mu2_target"] = vector_field(mu2.values, args.precision)
+    if rho is not None:
+        report["rho_target"] = vector_field(rho.values, args.precision)
+    fit, rows_note, ray_count = _fit(spec, cls, mu2, minimize)
+    report["mode"] = "direct" if ray_count is None else "rays"
+    if ray_count is not None:
+        report["ray_count"] = ray_count
+    report["status"] = fit.status
+    report["pivots"] = fit.pivots
+    if fit.status == "infeasible":
+        report["certificate"] = _certificate_payload(fit, rows_note)
+        return EXIT_INFEASIBLE
+    if fit.lam is not None:
+        report["lambda"] = vector_field(fit.lam, args.precision)
+    report["density"] = _density_payload(fit.density, args)
+    if fit.objective is not None:
+        report["objective"] = rational_field(fit.objective, args.precision)
+    return EXIT_OK
+
+
+def _nearest(args, spec: ProblemSpec, cls, report: dict) -> int:
+    rho, mu2 = _target_mu2(spec, cls)
+    if rho is None:
+        # projection works in correlation coordinates, so a mu2 whose
+        # correlation leaves [-1, 1] is rejected like such a rho
+        try:
+            rho = rho_from_mu2(cls, mu2)
+        except ValueError as exc:
+            raise SpecError(f"mu2: implied {exc}") from exc
+    proj = nearest_feasible_correlation(cls, rho, mode=spec.mode)
+    precision = args.precision
+    report["rho_target"] = vector_field(rho.values, precision)
+    report["mu2_target"] = vector_field(mu2.values, precision)
+    report["status"] = proj.status
+    report["rho_star"] = vector_field(proj.rho_star.values, precision)
+    report["mu2_star"] = vector_field(proj.mu2_star.values, precision)
+    report["distance"] = {
+        "decimal": repr(proj.distance),
+        "squared_exact": str(proj.distance_sq),
+    }
+    report["lambda"] = vector_field(proj.lam, precision)
+    report["density"] = _density_payload(proj.density, args)
+    report["fw"] = {
+        "iterations": proj.iterations,
+        "gap_exact": str(proj.gap),
+        "converged": proj.converged,
+    }
+    return EXIT_OK
+
+
+def _sample(args, spec: ProblemSpec, cls, report: dict) -> int:
+    _, mu2 = _target_mu2(spec, cls)
+    if spec.n is None:
+        raise SpecError("options.n or --n: required for sample")
+    seed = spec.seed if spec.seed is not None else 0
+    report["mu2_target"] = vector_field(mu2.values, args.precision)
+    fit, rows_note, _ = _fit(spec, cls, mu2, False)
+    report["status"] = fit.status
+    if fit.status == "infeasible":
+        report["certificate"] = _certificate_payload(fit, rows_note)
+        return EXIT_INFEASIBLE
+    batch = draw_sample(fit.density, spec.n, seed)
+    report["density"] = _density_payload(fit.density, args)
+    report["sample"] = {
+        "n": batch.n,
+        "seed": batch.seed,
+        "generator_id": batch.generator_id,
+        "empirical_order1": vector_field(empirical_moments(batch, 1), args.precision),
+        "empirical_order2": vector_field(empirical_moments(batch, 2), args.precision),
+    }
+    if args.csv:
+        _save(_write_atomic, sample_csv_text(batch), args.csv)
+        report["sample"]["csv_path"] = args.csv
+    return EXIT_OK
+
+
+def _theta(args, spec: ProblemSpec, cls, report: dict) -> int:
+    payload = _load_json(args.density) if args.density else spec.density
+    if payload is None:
+        raise SpecError("density: give --density or a density field in the spec")
+    f = parse_density_payload(payload, spec.m)
+    theta = theta_from_density(cls, f)
+    constant = theta.constant
+    linear = theta.linear()
+    report["status"] = "ok"
+    report["density"] = _density_payload(f, args)
+    report["theta"] = vector_field(reorder_support(theta.values, args.paper_order), args.precision)
+    report["theta_order_note"] = (
+        "entries indexed by interaction subsets under the same bijection "
+        "as the support order above"
+    )
+    report["constant_term"] = rational_field(constant, args.precision)
+    report["linear_terms"] = vector_field(linear, args.precision)
+    report["checks"] = {
+        "constant_is_one": constant == 1,
+        "linear_all_zero": all(v == 0 for v in linear),
+    }
+    return EXIT_OK
+
+
+class Command(NamedTuple):
+    help: str
+    handler: Callable[..., int]
+    csv: bool = False  # defines a --csv export
+    density: bool = False  # takes --density
+
+
+COMMANDS = {
+    "rays": Command("enumerate the extreme ray densities of the class", _rays, csv=True),
+    "bounds": Command("attainable pair-moment and correlation ranges", _bounds),
+    "fit": Command("find a member matching the target pair moments", _fit_command),
+    "nearest": Command("project a correlation target onto the attainable set", _nearest),
+    "minimize": Command("feasible member minimizing the summed order>=3 moments", _fit_command),
+    "sample": Command("fit a member, then draw from it deterministically", _sample, csv=True),
+    "theta": Command("interaction coefficients of a given density", _theta, density=True),
+}
+CSV_COMMANDS = " and ".join(name for name, command in COMMANDS.items() if command.csv)
+
+__doc__ = (__doc__ or "").format(  # no docstring under python -OO
+    commands="".join(f"  {name:9}{command.help}\n" for name, command in COMMANDS.items())
+)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="bernray", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("--input", required=True, help="problem spec JSON file")
+        p.add_argument("--output", help="write the report here instead of stdout")
+        p.add_argument("--csv", help=f"delimited export ({CSV_COMMANDS} only)")
+        p.add_argument("--mode", choices=["rays", "direct"], help="override options.mode")
+        p.add_argument("--paper-order", action="store_true",
+                       help="emit support-indexed vectors in complemented order")
+        p.add_argument("--seed", type=int, help="override options.seed")
+        p.add_argument("--n", type=int, help="override options.n")
+        p.add_argument("--precision", type=int, default=DEFAULT_PRECISION,
+                       help=f"significant digits of decimal renderings (1..{MAX_PRECISION})")
+        if command.density:
+            p.add_argument("--density", help="density JSON (a fit report works)")
+    return parser
 
 
 def run(args) -> tuple[dict, int]:
@@ -130,11 +312,11 @@ def run(args) -> tuple[dict, int]:
             raise SpecError("--n: must be >= 1")
         spec.n = args.n
     precision = args.precision
-    if precision < 1:
-        raise SpecError("--precision: must be >= 1")
-    paper = args.paper_order
-    if args.csv and args.command not in ("rays", "sample"):
-        raise SpecError("--csv: delimited export is defined for rays and sample only")
+    if not 1 <= precision <= MAX_PRECISION:
+        raise SpecError(f"--precision: must be in 1..{MAX_PRECISION}")
+    command = COMMANDS[args.command]
+    if args.csv and not command.csv:
+        raise SpecError(f"--csv: delimited export is defined for {CSV_COMMANDS} only")
 
     cls = spec.frechet_class()
     t0 = time.perf_counter()
@@ -144,159 +326,12 @@ def run(args) -> tuple[dict, int]:
         "m": spec.m,
         "p": vector_field(spec.p, precision),
         "support_order": {
-            "note": order_note(paper),
-            "points": support_labels(spec.m, paper),
+            "note": order_note(args.paper_order),
+            "points": support_labels(spec.m, args.paper_order),
         },
         "precision": precision,
     }
-    code = EXIT_OK
-
-    if args.command == "rays":
-        rays = margin_rays(cls)
-        report["status"] = "ok"
-        report["kind"] = rays.kind
-        report["ray_count"] = rays.n_rays
-        report["rays"] = [
-            _density_payload(col, precision, paper) for col in rays.columns
-        ]
-        if args.csv:
-            _write_atomic(
-                rays_csv_text([c.values for c in rays.columns], spec.m, paper), args.csv
-            )
-            report["csv_path"] = args.csv
-
-    elif args.command == "bounds":
-        pb = pair_bounds(cls)
-        report["status"] = "ok"
-        report["pairs"] = [
-            {
-                "i": i,
-                "j": j,
-                "moment_lo": rational_field(ml, precision),
-                "moment_hi": rational_field(mh, precision),
-                "rho_lo": rational_field(rl, precision),
-                "rho_hi": rational_field(rh, precision),
-            }
-            for (i, j), ml, mh, rl, rh in zip(
-                pb.pairs, pb.moment_lo, pb.moment_hi, pb.rho_lo, pb.rho_hi
-            )
-        ]
-
-    elif args.command in ("fit", "minimize"):
-        rho, mu2 = _target_mu2(spec, cls)
-        report["mu2_target"] = vector_field(mu2.values, precision)
-        if rho is not None:
-            report["rho_target"] = vector_field(rho.values, precision)
-        minimize = args.command == "minimize" or spec.objective == "min-higher-moments"
-        if minimize:
-            fit = minimize_higher_moments(cls, mu2)
-            rows_note = "margin rows 1..m, pair rows lexicographic, unit-sum row"
-            report["mode"] = "direct"
-        elif spec.mode == "direct":
-            fit = fit_density_direct(cls, mu2)
-            rows_note = "margin rows 1..m, pair rows lexicographic, unit-sum row"
-            report["mode"] = "direct"
-        else:
-            rays = margin_rays(cls)
-            fit = fit_lambda(moment_map(rays, 2), mu2)
-            rows_note = "pair-moment rows lexicographic over ray columns, unit-sum row"
-            report["mode"] = "rays"
-            report["ray_count"] = rays.n_rays
-        report["status"] = fit.status
-        report["pivots"] = fit.pivots
-        if fit.status == "infeasible":
-            report["certificate"] = _certificate_payload(fit, rows_note)
-            code = EXIT_INFEASIBLE
-        else:
-            if fit.lam is not None:
-                report["lambda"] = vector_field(fit.lam, precision)
-            report["density"] = _density_payload(fit.density, precision, paper)
-            if fit.objective is not None:
-                report["objective"] = rational_field(fit.objective, precision)
-
-    elif args.command == "nearest":
-        rho, mu2 = _target_mu2(spec, cls)
-        if rho is None:
-            rho = rho_from_mu2(cls, mu2)
-        proj = nearest_feasible_correlation(cls, rho, mode=spec.mode)
-        report["rho_target"] = vector_field(rho.values, precision)
-        report["mu2_target"] = vector_field(mu2.values, precision)
-        report["status"] = proj.status
-        report["rho_star"] = vector_field(proj.rho_star.values, precision)
-        report["mu2_star"] = vector_field(proj.mu2_star.values, precision)
-        report["distance"] = {
-            "decimal": repr(proj.distance),
-            "squared_exact": str(proj.distance_sq),
-        }
-        report["lambda"] = vector_field(proj.lam, precision)
-        report["density"] = _density_payload(proj.density, precision, paper)
-        report["fw"] = {
-            "iterations": proj.iterations,
-            "gap_exact": str(proj.gap),
-            "converged": proj.converged,
-        }
-
-    elif args.command == "sample":
-        rho, mu2 = _target_mu2(spec, cls)
-        if spec.n is None:
-            raise SpecError("options.n or --n: required for sample")
-        seed = spec.seed if spec.seed is not None else 0
-        report["mu2_target"] = vector_field(mu2.values, precision)
-        if spec.mode == "direct":
-            fit = fit_density_direct(cls, mu2)
-        else:
-            fit = fit_lambda(moment_map(margin_rays(cls), 2), mu2)
-        report["status"] = fit.status
-        if fit.status == "infeasible":
-            rows_note = (
-                "pair-moment rows lexicographic over ray columns, unit-sum row"
-                if spec.mode != "direct"
-                else "margin rows 1..m, pair rows lexicographic, unit-sum row"
-            )
-            report["certificate"] = _certificate_payload(fit, rows_note)
-            code = EXIT_INFEASIBLE
-        else:
-            batch = draw_sample(fit.density, spec.n, seed)
-            report["density"] = _density_payload(fit.density, precision, paper)
-            report["sample"] = {
-                "n": batch.n,
-                "seed": batch.seed,
-                "generator_id": batch.generator_id,
-                "empirical_order1": vector_field(empirical_moments(batch, 1), precision),
-                "empirical_order2": vector_field(empirical_moments(batch, 2), precision),
-            }
-            if args.csv:
-                _write_atomic(sample_csv_text(batch), args.csv)
-                report["sample"]["csv_path"] = args.csv
-
-    elif args.command == "theta":
-        payload = None
-        if getattr(args, "density", None):
-            payload = _load_json(args.density)
-        else:
-            raw = _load_json(args.input)
-            if isinstance(raw, dict) and "density" in raw:
-                payload = raw["density"]
-        if payload is None:
-            raise SpecError("density: give --density or a density field in the spec")
-        f = parse_density_payload(payload, spec.m)
-        theta = theta_from_density(cls, f)
-        constant = theta.constant
-        linear = theta.linear()
-        report["status"] = "ok"
-        report["density"] = _density_payload(f, precision, paper)
-        report["theta"] = vector_field(reorder_support(theta.values, paper), precision)
-        report["theta_order_note"] = (
-            "entries indexed by interaction subsets under the same bijection "
-            "as the support order above"
-        )
-        report["constant_term"] = rational_field(constant, precision)
-        report["linear_terms"] = vector_field(linear, precision)
-        report["checks"] = {
-            "constant_is_one": constant == 1,
-            "linear_all_zero": all(v == 0 for v in linear),
-        }
-
+    code = command.handler(args, spec, cls, report)
     report["diagnostics"] = {"elapsed_s": round(time.perf_counter() - t0, 6)}
     return report, code
 
@@ -305,15 +340,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report, code = run(args)
+        if args.output:
+            _save(write_json_atomic, report, args.output)
     except SpecError as exc:
         print(f"bernray: invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except DimensionCapError as exc:
         print(f"bernray: {exc}", file=sys.stderr)
         return EXIT_CAP
-    if args.output:
-        write_json_atomic(report, args.output)
-    else:
+    if not args.output:
         json.dump(report, sys.stdout, indent=2)
         print()
     return code

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .frechet import Density, FrechetClass, PairMoments, subset_list
+from .frechet import Density, FrechetClass, PairMoments
 
 #: Largest m for ray enumeration: m=6 already has 707,264 rays.
 DIMENSION_CAP = 6
@@ -52,7 +52,6 @@ class ConstraintMatrix:
     m: int
     kind: str
     rows: tuple[tuple[Fraction, ...], ...]
-    labels: tuple[tuple[int, ...], ...]
 
 
 def build_h(cls: FrechetClass) -> ConstraintMatrix:
@@ -63,7 +62,7 @@ def build_h(cls: FrechetClass) -> ConstraintMatrix:
     for i in range(m):
         p_i = cls.p[i]
         rows.append(tuple(p_i - ((j >> i) & 1) for j in range(1 << m)))
-    return ConstraintMatrix(m, "margins", tuple(rows), tuple((i + 1,) for i in range(m)))
+    return ConstraintMatrix(m, "margins", tuple(rows))
 
 
 def build_h2(m: int, mu2: PairMoments) -> ConstraintMatrix:
@@ -75,7 +74,7 @@ def build_h2(m: int, mu2: PairMoments) -> ConstraintMatrix:
     for (i, j), mu in zip(itertools.combinations(range(m), 2), mu2.values):
         mask = (1 << i) | (1 << j)
         rows.append(tuple(mu - (1 if (k & mask) == mask else 0) for k in range(1 << m)))
-    return ConstraintMatrix(m, "pair-moments", tuple(rows), tuple((i, j) for i, j in subset_list(m, 2)))
+    return ConstraintMatrix(m, "pair-moments", tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -259,23 +258,34 @@ def extreme_rays(matrix: ConstraintMatrix) -> RayMatrix:
     return RayMatrix(matrix.m, matrix.kind, tuple(densities))
 
 
-def moment_map(rays: RayMatrix, order: int) -> MomentMap:
-    """Raw moments of the given interaction order for every ray column. An
-    order above m has no subsets and gives a map with no rows."""
-    if order < 1:
-        raise ValueError(f"moment order {order} is below 1")
-    subsets = list(itertools.combinations(range(rays.m), order))
-    entries = []
-    for subset in subsets:
+def moment_rows(
+    m: int, columns: Sequence[Density], order: int
+) -> list[tuple[Fraction, ...]]:
+    """Raw moments of the given interaction order for every column, one row
+    per coordinate subset in lexicographic order. An order above m has no
+    subsets and gives no rows."""
+    rows = []
+    for subset in itertools.combinations(range(m), order):
         mask = 0
         for c in subset:
             mask |= 1 << c
-        row = []
-        for col in rays.columns:
-            row.append(sum(v for j, v in enumerate(col.values) if (j & mask) == mask))
-        entries.append(tuple(row))
-    labels = tuple(tuple(c + 1 for c in subset) for subset in subsets)
-    return MomentMap(rays.m, order, labels, tuple(entries), rays)
+        rows.append(tuple(
+            sum(v for j, v in enumerate(col.values) if (j & mask) == mask)
+            for col in columns
+        ))
+    return rows
+
+
+def moment_map(rays: RayMatrix, order: int) -> MomentMap:
+    """Raw moments of the given interaction order for every ray column."""
+    if order < 1:
+        raise ValueError(f"moment order {order} is below 1")
+    labels = tuple(
+        tuple(c + 1 for c in subset)
+        for subset in itertools.combinations(range(rays.m), order)
+    )
+    entries = tuple(moment_rows(rays.m, rays.columns, order))
+    return MomentMap(rays.m, order, labels, entries, rays)
 
 
 def margin_rays(cls: FrechetClass) -> RayMatrix:

@@ -32,6 +32,10 @@ from .frechet import CorrelationSpec, Density, FrechetClass, PairMoments
 from .tensor import SUPPORT_CAP, parse_rational
 
 DEFAULT_PRECISION = 12
+#: Largest --precision. Every decimal field is rendered to that many digits,
+#: so an uncapped value grows reports without bound. 100 is twice the 50
+#: digits the square-root policy guarantees; the exact fields carry the rest.
+MAX_PRECISION = 100
 
 MODES = ("rays", "direct")
 OBJECTIVES = ("none", "min-higher-moments")
@@ -51,6 +55,8 @@ class ProblemSpec:
     objective: str = "none"
     seed: int | None = None
     n: int | None = None
+    #: the unparsed "density" field, which theta reads when --density is absent
+    density: Any = None
 
     def frechet_class(self) -> FrechetClass:
         try:
@@ -145,7 +151,7 @@ def parse_problem_spec(obj: Any) -> ProblemSpec:
         n = _want_int(options, "n", "options.n")
         if n < 1:
             raise SpecError(f"options.n: must be >= 1, got {n}")
-    return ProblemSpec(m, p, rho, mu2, mode, objective, seed, n)
+    return ProblemSpec(m, p, rho, mu2, mode, objective, seed, n, obj.get("density"))
 
 
 def parse_density_payload(obj: Any, m: int) -> Density:

@@ -24,13 +24,7 @@ from fractions import Fraction
 from math import comb, sqrt
 from typing import Sequence
 
-from .cone import (
-    MomentMap,
-    RayMatrix,
-    margin_rays,
-    moment_map,
-    pair_moment_rays,
-)
+from .cone import MomentMap, RayMatrix, margin_rays, moment_map, moment_rows
 from .frechet import (
     CorrelationSpec,
     Density,
@@ -80,15 +74,33 @@ class ProjectionResult:
     columns: tuple[Density, ...] = ()
 
 
-def _combine(rays: RayMatrix, lam: Sequence[Fraction]) -> Density:
-    n = 1 << rays.m
-    vals = [ZERO] * n
-    for w, col in zip(lam, rays.columns):
+def _mixture(m: int, columns: Sequence[Density], lam: Sequence[Fraction]) -> Density:
+    """The density sum_k lam_k columns_k."""
+    vals = [ZERO] * (1 << m)
+    for w, col in zip(lam, columns):
         if w:
             for j, v in enumerate(col.values):
                 if v:
                     vals[j] += w * v
-    return Density(rays.m, vals)
+    return Density(m, vals)
+
+
+def _solve_fit(
+    m: int,
+    rows: list[list[Fraction]],
+    b: list[Fraction],
+    c: list[Fraction] | None = None,
+    columns: Sequence[Density] | None = None,
+) -> FitResult:
+    """Solve rows . x = b over x >= 0, minimizing c . x when c is given. x is
+    the density itself, or the mixture weights over columns when given."""
+    res = solve_lp(rows, b, c=c)
+    if res.status == "infeasible":
+        return FitResult("infeasible", None, None, res.certificate, None, res.pivots)
+    objective = None if c is None else res.objective
+    if columns is None:
+        return FitResult("feasible", None, Density(m, res.x), None, objective, res.pivots)
+    return FitResult("feasible", res.x, _mixture(m, columns, res.x), None, objective, res.pivots)
 
 
 def fit_lambda(amap: MomentMap, mu2: PairMoments) -> FitResult:
@@ -98,45 +110,37 @@ def fit_lambda(amap: MomentMap, mu2: PairMoments) -> FitResult:
         raise ValueError("fit_lambda needs the order-2 moment map")
     if mu2.m != amap.m:
         raise ValueError("moment dimension does not match the map")
-    n = amap.rays.n_rays
     rows = [list(r) for r in amap.entries]
-    rows.append([ONE] * n)
+    rows.append([ONE] * amap.rays.n_rays)
     b = list(mu2.values) + [ONE]
-    res = solve_lp(rows, b)
-    if res.status == "infeasible":
-        return FitResult("infeasible", None, None, res.certificate, None, res.pivots)
-    lam = res.x
-    return FitResult("feasible", lam, _combine(amap.rays, lam), None, None, res.pivots)
+    return _solve_fit(amap.m, rows, b, columns=amap.rays.columns)
 
 
-def _direct_rows(m: int, mu2: PairMoments) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """Constraint rows on the 2^m mass variables: margins, pair moments, unit
-    total; the returned b covers the tail (pair moments and total)."""
+def _direct_rows(cls: FrechetClass, mu2: PairMoments) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """Constraint rows on the 2^m mass variables and their right-hand side:
+    margins p, pair moments mu2, unit total."""
+    m = cls.m
     rows: list[list[Fraction]] = []
-    b: list[Fraction] = []
     for i in range(m):
         rows.append([ONE if (j >> i) & 1 else ZERO for j in range(1 << m)])
-    for (i, j), mu in zip(itertools.combinations(range(m), 2), mu2.values):
+    for i, j in itertools.combinations(range(m), 2):
         mask = (1 << i) | (1 << j)
         rows.append([ONE if (k & mask) == mask else ZERO for k in range(1 << m)])
-        b.append(mu)
     rows.append([ONE] * (1 << m))
-    b.append(ONE)
-    return rows, b
+    return rows, list(cls.p) + list(mu2.values) + [ONE]
+
+
+def _fit_direct(cls: FrechetClass, mu2: PairMoments, c: list[Fraction] | None) -> FitResult:
+    if mu2.m != cls.m:
+        raise ValueError("moment dimension does not match the class")
+    rows, b = _direct_rows(cls, mu2)
+    return _solve_fit(cls.m, rows, b, c)
 
 
 def fit_density_direct(cls: FrechetClass, mu2: PairMoments) -> FitResult:
     """Feasibility directly on the 2^m mass variables: margins p, pair
     moments mu2, unit total. No ray enumeration, so any m works."""
-    m = cls.m
-    if mu2.m != m:
-        raise ValueError("moment dimension does not match the class")
-    rows, b = _direct_rows(m, mu2)
-    b = list(cls.p) + b
-    res = solve_lp(rows, b)
-    if res.status == "infeasible":
-        return FitResult("infeasible", None, None, res.certificate, None, res.pivots)
-    return FitResult("feasible", None, Density(m, res.x), None, None, res.pivots)
+    return _fit_direct(cls, mu2, None)
 
 
 def higher_moment_objective(m: int) -> list[Fraction]:
@@ -153,36 +157,7 @@ def higher_moment_objective(m: int) -> list[Fraction]:
 def minimize_higher_moments(cls: FrechetClass, mu2: PairMoments) -> FitResult:
     """Minimize the summed order->=3 raw moments over members with the given
     pair moments. The optimum is exact; infeasibility carries a certificate."""
-    m = cls.m
-    if mu2.m != m:
-        raise ValueError("moment dimension does not match the class")
-    rows, b = _direct_rows(m, mu2)
-    b = list(cls.p) + b
-    res = solve_lp(rows, b, c=higher_moment_objective(m))
-    if res.status == "infeasible":
-        return FitResult("infeasible", None, None, res.certificate, None, res.pivots)
-    return FitResult("feasible", None, Density(m, res.x), None, res.objective, res.pivots)
-
-
-def solve_margins_given_mu2(
-    m: int, mu2: PairMoments, target_p: Sequence[Fraction]
-) -> FitResult:
-    """Transposed problem: prescribe all pair moments, ask whether the margin
-    vector target_p is attainable, via weights over the pair-moment cone rays."""
-    targets = [Fraction(v) for v in target_p]
-    if len(targets) != m:
-        raise ValueError(f"need {m} target margins, got {len(targets)}")
-    rays = pair_moment_rays(m, mu2)
-    amap = moment_map(rays, 1)
-    n = rays.n_rays
-    rows = [list(r) for r in amap.entries]
-    rows.append([ONE] * n)
-    b = targets + [ONE]
-    res = solve_lp(rows, b)
-    if res.status == "infeasible":
-        return FitResult("infeasible", None, None, res.certificate, None, res.pivots)
-    lam = res.x
-    return FitResult("feasible", lam, _combine(rays, lam), None, None, res.pivots)
+    return _fit_direct(cls, mu2, higher_moment_objective(cls.m))
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +192,6 @@ def nearest_feasible_correlation(
     rho: CorrelationSpec,
     rays: RayMatrix | None = None,
     mode: str = "rays",
-    gap_tolerance: Fraction = FW_GAP_TOLERANCE,
     max_iterations: int = FW_MAX_ITERATIONS,
 ) -> ProjectionResult:
     """Project a correlation target onto the attainable set.
@@ -226,7 +200,7 @@ def nearest_feasible_correlation(
     weights. Otherwise Frank-Wolfe with away steps minimizes the weighted
     squared moment distance (exactly the squared Euclidean distance in
     correlation coordinates) over the ray-weight simplex, stopping at duality
-    gap below gap_tolerance or at the iteration cap.
+    gap below FW_GAP_TOLERANCE or at the iteration cap.
 
     mode "rays" works over the enumerated ray matrix; mode "direct" never
     enumerates, generating vertices on demand with an exact LP oracle, so it
@@ -236,7 +210,7 @@ def nearest_feasible_correlation(
         raise ValueError("correlation dimension does not match the class")
     mu_t = mu2_from_rho(cls, rho)
     if mode == "direct":
-        return _nearest_direct(cls, rho, mu_t, gap_tolerance, max_iterations)
+        return _nearest_direct(cls, rho, mu_t, max_iterations)
     if mode != "rays":
         raise ValueError(f"unknown projection mode {mode!r}")
     if rays is None:
@@ -245,29 +219,39 @@ def nearest_feasible_correlation(
 
     fit = fit_lambda(amap, mu_t)
     if fit.status == "feasible":
-        mu_star = PairMoments(cls.m, mu_t.values)
-        return ProjectionResult(
-            "feasible",
-            CorrelationSpec(cls.m, rho.values),
-            mu_star,
-            0.0,
-            ZERO,
-            fit.lam,
-            fit.density,
-            0,
-            ZERO,
-            True,
-            tuple(rays.columns),
-        )
+        return _attained(cls, rho, mu_t, fit.lam, fit.density, tuple(rays.columns))
 
     lam, iterations, gap, converged = _frank_wolfe(
         [list(r) for r in amap.entries],
         _pair_weights(cls),
         list(mu_t.values),
-        gap_tolerance,
         max_iterations,
     )
     return _projection_result(cls, rays.columns, lam, mu_t, iterations, gap, converged)
+
+
+def _attained(
+    cls: FrechetClass,
+    rho: CorrelationSpec,
+    mu_t: PairMoments,
+    lam: tuple[Fraction, ...],
+    density: Density,
+    columns: tuple[Density, ...],
+) -> ProjectionResult:
+    """An attainable target is its own projection, at distance 0."""
+    return ProjectionResult(
+        "feasible",
+        CorrelationSpec(cls.m, rho.values),
+        PairMoments(cls.m, mu_t.values),
+        0.0,
+        ZERO,
+        lam,
+        density,
+        0,
+        ZERO,
+        True,
+        columns,
+    )
 
 
 def _projection_result(
@@ -280,14 +264,9 @@ def _projection_result(
     converged: bool,
 ) -> ProjectionResult:
     weights = _pair_weights(cls)
-    entries = _pair_moment_rows(cls.m, columns)
-    mu_vals = _map_apply(entries, lam)
+    mu_vals = _map_apply(moment_rows(cls.m, columns, 2), lam)
     dist_sq = sum(w * (v - t) ** 2 for w, v, t in zip(weights, mu_vals, mu_t.values))
     mu_star = PairMoments(cls.m, mu_vals)
-    density = Density(cls.m, [
-        sum(w * col.values[j] for w, col in zip(lam, columns) if w)
-        for j in range(1 << cls.m)
-    ])
     return ProjectionResult(
         "projected",
         rho_from_mu2(cls, mu_star),
@@ -295,7 +274,7 @@ def _projection_result(
         sqrt(float(dist_sq)),
         dist_sq,
         tuple(lam),
-        density,
+        _mixture(cls.m, columns, lam),
         iterations,
         gap,
         converged,
@@ -303,22 +282,10 @@ def _projection_result(
     )
 
 
-def _pair_moment_rows(m: int, columns: Sequence[Density]) -> list[list[Fraction]]:
-    rows = []
-    for i, j in itertools.combinations(range(m), 2):
-        mask = (1 << i) | (1 << j)
-        rows.append([
-            sum(v for k, v in enumerate(col.values) if (k & mask) == mask)
-            for col in columns
-        ])
-    return rows
-
-
 def _nearest_direct(
     cls: FrechetClass,
     rho: CorrelationSpec,
     mu_t: PairMoments,
-    gap_tolerance: Fraction,
     max_iterations: int,
 ) -> ProjectionResult:
     """Simplicial decomposition: alternate an exact restricted Frank-Wolfe
@@ -328,23 +295,13 @@ def _nearest_direct(
     n = 1 << m
     fit = fit_density_direct(cls, mu_t)
     if fit.status == "feasible":
-        return ProjectionResult(
-            "feasible",
-            CorrelationSpec(m, rho.values),
-            PairMoments(m, mu_t.values),
-            0.0,
-            ZERO,
-            (ONE,),
-            fit.density,
-            0,
-            ZERO,
-            True,
-            (fit.density,),
-        )
+        return _attained(cls, rho, mu_t, (ONE,), fit.density, (fit.density,))
 
-    margin_rows = [[ONE if (j >> i) & 1 else ZERO for j in range(n)] for i in range(m)]
-    margin_rows.append([ONE] * n)
-    margin_b = list(cls.p) + [ONE]
+    # the margin and unit-sum rows of the direct system bound the class
+    # polytope; its pair rows give the objective's gradient
+    rows, b = _direct_rows(cls, mu_t)
+    margin_rows, margin_b = rows[:m] + rows[-1:], b[:m] + b[-1:]
+    pair_rows = rows[m:-1]
     base = solve_lp(margin_rows, margin_b)
     vertices: list[Density] = [Density(m, base.x)]
     weights = _pair_weights(cls)
@@ -354,28 +311,20 @@ def _nearest_direct(
     gap = ZERO
     converged = False
     while total_iters < max_iterations:
-        entries = _pair_moment_rows(m, vertices)
+        entries = moment_rows(m, vertices, 2)
         lam, inner_iters, _, _ = _frank_wolfe(
-            entries, weights, list(mu_t.values), gap_tolerance, max_iterations - total_iters
+            entries, weights, list(mu_t.values), max_iterations - total_iters
         )
         total_iters += max(inner_iters, 1)
         mu_vals = _map_apply(entries, lam)
-        resid = [v - t for v, t in zip(mu_vals, mu_t.values)]
-        grad = [ZERO] * n
-        for (i, j), w, r in zip(itertools.combinations(range(m), 2), weights, resid):
-            if r:
-                mask = (1 << i) | (1 << j)
-                coeff = 2 * w * r
-                for k in range(n):
-                    if (k & mask) == mask:
-                        grad[k] += coeff
+        coeffs = [2 * w * (v - t) for w, v, t in zip(weights, mu_vals, mu_t.values)]
+        grad = [sum((c for c, row in zip(coeffs, pair_rows) if row[k]), ZERO) for k in range(n)]
         current = sum(
-            g * sum(w * col.values[j] for w, col in zip(lam, vertices) if w)
-            for j, g in enumerate(grad) if g
+            g * v for g, v in zip(grad, _mixture(m, vertices, lam).values) if g
         )
         oracle = solve_lp(margin_rows, margin_b, c=grad)
         gap = current - oracle.objective
-        if gap <= gap_tolerance:
+        if gap <= FW_GAP_TOLERANCE:
             converged = True
             break
         new_vertex = Density(m, oracle.x)
@@ -391,17 +340,16 @@ def _map_apply(entries: Sequence[Sequence[Fraction]], lam: Sequence[Fraction]) -
 
 
 def _frank_wolfe(
-    columns_by_row: list[list[Fraction]],
+    columns_by_row: Sequence[Sequence[Fraction]],
     weights: list[Fraction],
     target: list[Fraction],
-    gap_tolerance: Fraction,
     max_iterations: int,
 ) -> tuple[list[Fraction], int, Fraction, bool]:
     """Minimize sum_k w_k ((A lam)_k - t_k)^2 over the simplex.
 
     Away-step variant with exact rational line search; deterministic tie
     breaks (lowest index). Returns (lam, iterations, final gap, whether the
-    gap reached gap_tolerance)."""
+    gap reached FW_GAP_TOLERANCE)."""
     nrows = len(columns_by_row)
     n = len(columns_by_row[0])
 
@@ -432,7 +380,7 @@ def _frank_wolfe(
         g_lam = sum(gi * li for gi, li in zip(g, lam) if li)
         s = min(range(n), key=lambda i: (g[i], i))
         gap = g_lam - g[s]
-        if gap <= gap_tolerance:
+        if gap <= FW_GAP_TOLERANCE:
             converged = True
             break
         active = [i for i, v in enumerate(lam) if v > 0]

@@ -1,7 +1,11 @@
 import json
+import os
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bernray import FrechetClass, margin_rays, moment_map, verify_farkas
 from bernray.cli import main
@@ -206,7 +210,7 @@ def test_sample_size_below_one_exits_3(tmp_path, capsys, spec_n, argv):
 
 
 @pytest.mark.parametrize("command", ["rays", "bounds", "fit", "nearest", "minimize", "sample"])
-@pytest.mark.parametrize("precision", ["0", "-1"])
+@pytest.mark.parametrize("precision", ["0", "-1", "101", "1000000"])
 def test_precision_below_one_exits_3(tmp_path, capsys, command, precision):
     spec = write_spec(tmp_path, {**SYM3_SPEC, **RHO_OK})
     code, rep = run_cli(
@@ -325,8 +329,151 @@ def test_out_of_range_implied_moment_nearest_projects(tmp_path, mode):
     assert rep["fw"]["converged"] is True
 
 
+@pytest.mark.parametrize(
+    "command, mode, expect",
+    [("nearest", "rays", 3), ("nearest", "direct", 3),
+     ("fit", "rays", 2), ("fit", "direct", 2), ("minimize", "direct", 2),
+     ("sample", "rays", 2), ("sample", "direct", 2)],
+)
+def test_mu2_with_out_of_range_implied_correlation(tmp_path, capsys, command, mode, expect):
+    # mu2 = 9/10 lies in [0, 1], but with p = (1/2, 1/10) it implies the
+    # correlation 17/3; nearest works in correlation coordinates
+    spec = write_spec(tmp_path, {"m": 2, "p": ["1/2", "1/10"], "mu2": ["9/10"]})
+    code, rep = run_cli(tmp_path, [command, "--input", spec, "--mode", mode, "--n", "10"])
+    assert code == expect
+    if expect == 3:
+        assert rep is None
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "mu2:" in err and "pair (1,2)" in err
+    else:
+        assert rep["status"] == "infeasible"
+        assert verify_farkas(*_stated_rows(rep), [F(v) for v in rep["certificate"]["y"]])
+
+
 def test_user_mu2_outside_unit_interval_exits_3(tmp_path, capsys):
     spec = write_spec(tmp_path, {"m": 2, "p": ["1/2", "1/10"], "mu2": ["-1/10"]})
     code = main(["fit", "--input", spec, "--output", str(tmp_path / "x.json")])
     assert code == 3
     assert "outside [0, 1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["rays", "--output", "{missing}/r.json"], id="rays-output"),
+        pytest.param(["fit", "--output", "{missing}/r.json"], id="fit-output"),
+        pytest.param(["sample", "--output", "{missing}/r.json"], id="sample-output"),
+        pytest.param(["rays", "--output", "{tmp}/r.json", "--csv", "{missing}/r.csv"], id="rays-csv"),
+        pytest.param(["sample", "--output", "{tmp}/r.json", "--csv", "{missing}/r.csv"], id="sample-csv"),
+        pytest.param(["bounds", "--input", "{deep}", "--output", "{tmp}/r.json"], id="deep-input"),
+        pytest.param(["theta", "--density", "{deep}", "--output", "{tmp}/r.json"], id="deep-density"),
+    ],
+)
+def test_file_errors_exit_3_with_one_line(tmp_path, capsys, argv):
+    spec = write_spec(tmp_path, {**SYM3_SPEC, **RHO_OK})
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    paths = {"missing": str(tmp_path / "no" / "such"), "tmp": str(tmp_path), "deep": str(deep)}
+    argv = [a.format(**paths) for a in argv]
+    if "--input" not in argv:
+        argv += ["--input", spec]
+    code = main(argv + ["--n", "10"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("bernray: invalid input: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "r.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# fuzz: every input ends in exit 0, 2, 3 or 4, never in a traceback
+
+COMMANDS = ["rays", "bounds", "fit", "nearest", "minimize", "sample", "theta"]
+# flags that only some commands take; the rest go to every command
+FLAG_COMMANDS = {"--csv": ("rays", "sample"), "--density": ("theta",)}
+
+
+def _rationals(lo, hi):
+    return st.fractions(F(lo), F(hi), max_denominator=12).map(str)
+
+
+_junk = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(-10, 10),
+        st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=5),
+    ),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _well_formed(draw):
+    m = draw(st.integers(1, 3))
+    npairs = m * (m - 1) // 2
+    spec = {"m": m, "p": draw(st.lists(_rationals(F(1, 12), F(11, 12)), min_size=m, max_size=m))}
+    if draw(st.booleans()):
+        spec["rho"] = draw(st.lists(_rationals(-1, 1), min_size=npairs, max_size=npairs))
+    else:
+        spec["mu2"] = draw(st.lists(_rationals(0, 1), min_size=npairs, max_size=npairs))
+    spec["options"] = draw(st.fixed_dictionaries({}, optional={
+        "mode": st.sampled_from(["rays", "direct"]),
+        "objective": st.sampled_from(["none", "min-higher-moments"]),
+        "seed": st.integers(0, 2**64 - 1),
+        "n": st.integers(1, 30),
+    }))
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.integers(0, 3), min_size=1 << m, max_size=1 << m))
+        total = sum(weights) or 1
+        spec["density"] = [str(F(w, total)) for w in weights]
+    return spec
+
+
+@st.composite
+def _specs(draw):
+    """A well-formed m <= 3 spec, the same with one field replaced by junk
+    (wrong type, bad rationals, wrong length, unknown field), or junk."""
+    kind = draw(st.sampled_from(["well-formed", "one-bad-field", "junk"]))
+    if kind == "junk":
+        return draw(_junk)
+    spec = draw(_well_formed())
+    if kind == "one-bad-field":
+        key = draw(st.sampled_from(["m", "p", "rho", "mu2", "options", "density", "unknown"]))
+        spec[key] = draw(st.one_of(
+            _junk,
+            st.lists(st.text(max_size=5), max_size=4),
+            st.lists(_rationals(-2, 2), max_size=9),
+            st.dictionaries(st.sampled_from(["mode", "objective", "seed", "n", "x"]), _junk, max_size=3),
+        ))
+    return spec
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    spec=_specs(),
+    flags=st.fixed_dictionaries({}, optional={
+        "--mode": st.sampled_from(["rays", "direct"]),
+        "--n": st.just("7"),
+        "--seed": st.just("5"),
+        "--precision": st.sampled_from(["3", "100"]),
+        "--csv": st.just("{tmp}/out.csv"),
+        "--density": st.sampled_from(["{tmp}/spec.json", "{tmp}/missing.json"]),
+        "--paper-order": st.none(),
+    }),
+    # an out-of-range flag value in four examples out of seven
+    bad_flag=st.sampled_from([
+        None, None, None, ["--n", "0"], ["--seed", "-1"], ["--precision", "0"], ["--precision", "101"],
+    ]),
+)
+def test_cli_fuzz_exits_with_a_known_code(spec, flags, bad_flag):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spec.json")
+        with open(path, "w") as handle:
+            json.dump(spec, handle)
+        for command in COMMANDS:
+            argv = [command, "--input", path, "--output", os.path.join(tmp, "r.json")]
+            for flag, value in flags.items():
+                if command in FLAG_COMMANDS.get(flag, COMMANDS):
+                    argv += [flag] if value is None else [flag, value.format(tmp=tmp)]
+            assert main(argv + (bad_flag or [])) in (0, 2, 3, 4), argv

@@ -17,10 +17,9 @@ from bernray import (
     mu2_from_rho,
     nearest_feasible_correlation,
     pair_moments_of,
-    solve_margins_given_mu2,
 )
 from bernray.simplex import verify_farkas
-from bernray.solvers import _pair_weights
+from bernray.solvers import _direct_rows, _pair_weights
 
 F = Fraction
 HALF = F(1, 2)
@@ -65,10 +64,7 @@ def test_direct_mode_infeasible_certificate(sym3):
     mu2 = mu2_from_rho(sym3, RHO_INFEASIBLE)
     res = fit_density_direct(sym3, mu2)
     assert res.status == "infeasible"
-    from bernray.solvers import _direct_rows
-
-    rows, b_tail = _direct_rows(sym3.m, mu2)
-    b = list(sym3.p) + b_tail
+    rows, b = _direct_rows(sym3, mu2)
     assert verify_farkas(rows, b, res.certificate)
 
 
@@ -82,16 +78,9 @@ def test_fit_matches_vertex_oracle_feasibility():
             m, [F(rng.randint(0, 4), 8) for _ in range(m * (m - 1) // 2)]
         )
         res = fit_density_direct(cls, mu2)
-        rows, b_tail = _direct_rows_for_oracle(cls, mu2)
-        feasible = bool(oracles.bfs_vertices(rows, b_tail))
+        rows, b = _direct_rows(cls, mu2)
+        feasible = bool(oracles.bfs_vertices(rows, b))
         assert (res.status == "feasible") == feasible
-
-
-def _direct_rows_for_oracle(cls, mu2):
-    from bernray.solvers import _direct_rows
-
-    rows, b_tail = _direct_rows(cls.m, mu2)
-    return rows, list(cls.p) + b_tail
 
 
 def test_higher_moment_objective_m3():
@@ -118,23 +107,26 @@ def test_minimize_higher_moments_independence_and_upper(sym3):
 def test_minimize_matches_vertex_oracle(sym3):
     mu2 = PairMoments(3, [F(3, 10), F(7, 40), F(7, 20)])
     res = minimize_higher_moments(sym3, mu2)
-    rows, b = _direct_rows_for_oracle(sym3, mu2)
+    rows, b = _direct_rows(sym3, mu2)
     oracle = oracles.lp_min_by_vertices(rows, b, higher_moment_objective(3))
     assert oracle is not None
     assert res.objective == oracle[0]
 
 
 def test_solve_margins_given_mu2_cases():
+    # prescribed pair moments, asked margins: the direct fit of the class
+    # with those margins poses the same unit-mass system
     mu2 = PairMoments(2, [F(1, 4)])
-    ok = solve_margins_given_mu2(2, mu2, [HALF, HALF])
+    ok = fit_density_direct(FrechetClass([HALF, HALF]), mu2)
     assert ok.status == "feasible"
     assert tuple(margins_of(ok.density)) == (HALF, HALF)
     assert pair_moments_of(ok.density).values == (F(1, 4),)
-    edge = solve_margins_given_mu2(2, mu2, [F(1, 4), F(1, 4)])
+    edge = fit_density_direct(FrechetClass([F(1, 4), F(1, 4)]), mu2)
     assert edge.status == "feasible"
-    bad = solve_margins_given_mu2(2, mu2, [F(1, 8), HALF])
+    bad_cls = FrechetClass([F(1, 8), HALF])
+    bad = fit_density_direct(bad_cls, mu2)
     assert bad.status == "infeasible"
-    assert bad.certificate is not None
+    assert verify_farkas(*_direct_rows(bad_cls, mu2), bad.certificate)
 
 
 def test_projection_on_feasible_target_is_identity(sym3, sym3_rays):
