@@ -124,9 +124,13 @@ def _rays(args, spec: ProblemSpec, cls, report: dict) -> int:
     report["status"] = "ok"
     report["kind"] = rays.kind
     report["ray_count"] = rays.n_rays
-    report["rays"] = [_density_payload(col, args) for col in rays.columns]
+    cells: dict = {}  # shared, so each distinct (entry, total) renders once
+    report["rays"] = [
+        vector_field(reorder_support(vec, args.paper_order), args.precision, total, cells)
+        for vec, total in zip(rays.vectors, rays.totals)
+    ]
     if args.csv:
-        text = rays_csv_text([c.values for c in rays.columns], spec.m, args.paper_order)
+        text = rays_csv_text(rays.vectors, rays.totals, spec.m, args.paper_order)
         _save(_write_atomic, text, args.csv)
         report["csv_path"] = args.csv
     return EXIT_OK

@@ -12,13 +12,18 @@ start from the nonnegative orthant (unit rays), insert the hyperplanes one at
 a time in ascending row order, combine adjacent rays across the hyperplane,
 decide adjacency by an exact rank test on the tight constraints, and gcd-reduce
 every ray to its primitive integer representative. No floats anywhere.
+
+The rays stay in that form: a primitive integer vector and its total, the
+density being vector / total. Sorting, moment maps and mixtures work on the
+integers; a Fraction is made once per moment entry, and Density objects only
+for the few columns a caller asks for.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 from .frechet import Density, FrechetClass, PairMoments
@@ -79,19 +84,31 @@ def build_h2(m: int, mu2: PairMoments) -> ConstraintMatrix:
 
 @dataclass(frozen=True)
 class RayMatrix:
-    """Extreme rays of a constraint cone, one Density per column,
-    columns sorted lexicographically by value."""
+    """Extreme rays of a constraint cone as primitive integer vectors.
+
+    Column k is the density vectors[k] / totals[k], where totals[k] =
+    sum(vectors[k]) > 0 and every entry is >= 0. Columns are sorted
+    lexicographically by those density values. `columns` and
+    `column_values()` derive the Density view on demand."""
 
     m: int
     kind: str
-    columns: tuple[Density, ...]
+    vectors: tuple[tuple[int, ...], ...]
+    totals: tuple[int, ...]
 
     @property
     def n_rays(self) -> int:
-        return len(self.columns)
+        return len(self.vectors)
+
+    @property
+    def columns(self) -> tuple[Density, ...]:
+        return tuple(Density(self.m, values) for values in self.column_values())
 
     def column_values(self) -> list[tuple[Fraction, ...]]:
-        return [c.values for c in self.columns]
+        return [
+            tuple(Fraction(v, total) for v in vec)
+            for vec, total in zip(self.vectors, self.totals)
+        ]
 
 
 @dataclass(frozen=True)
@@ -113,16 +130,8 @@ class MomentMap:
 def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[tuple[int, ...]]:
     out = []
     for row in rows:
-        denom = 1
-        for v in row:
-            denom = denom * v.denominator // gcd(denom, v.denominator)
-        ints = [int(v * denom) for v in row]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        if g > 1:
-            ints = [v // g for v in ints]
-        out.append(tuple(ints))
+        denom = lcm(*(v.denominator for v in row))
+        out.append(_primitive([int(v * denom) for v in row]))
     return out
 
 
@@ -237,41 +246,46 @@ def _adjacent(processed: list[tuple[int, ...]], union: int, width: int) -> bool:
 
 
 def extreme_rays(matrix: ConstraintMatrix) -> RayMatrix:
-    """Enumerate the extreme rays of {f >= 0 : matrix rows . f = 0} and
-    normalize each to a unit-mass Density.
+    """Enumerate the extreme rays of {f >= 0 : matrix rows . f = 0} as
+    primitive integer vectors with their totals.
 
     Refuses m above DIMENSION_CAP. Deterministic: insertion in stored row
-    order, columns sorted lexicographically by value.
+    order, columns sorted lexicographically by density value.
     """
     if matrix.m > DIMENSION_CAP:
         raise DimensionCapError(
             f"ray enumeration for m={matrix.m} exceeds the cap of {DIMENSION_CAP}"
         )
-    n = 1 << matrix.m
-    int_rows = _integer_rows(matrix.rows)
-    primitive = _double_description(int_rows, n)
-    densities = []
-    for vec in primitive:
-        total = sum(vec)
-        densities.append(Density(matrix.m, [Fraction(v, total) for v in vec]))
-    densities.sort(key=lambda d: d.values)
-    return RayMatrix(matrix.m, matrix.kind, tuple(densities))
+    vectors = _double_description(_integer_rows(matrix.rows), 1 << matrix.m)
+    totals = [sum(vec) for vec in vectors]
+    if any(total <= 0 or min(vec) < 0 for vec, total in zip(vectors, totals)):
+        raise ArithmeticError("a ray is not a nonnegative vector of positive mass")
+    # vec * (L // total), L the lcm of the totals, is the density vec / total
+    # times L: an integer key that orders columns as their densities do
+    scale = lcm(*totals)
+    keys = [tuple(v * f for v in vec) for vec, f in zip(vectors, [scale // t for t in totals])]
+    order = sorted(range(len(vectors)), key=keys.__getitem__)
+    return RayMatrix(
+        matrix.m, matrix.kind, tuple(vectors[k] for k in order), tuple(totals[k] for k in order)
+    )
 
 
 def moment_rows(
-    m: int, columns: Sequence[Density], order: int
+    m: int, vectors: Sequence[Sequence[int]], totals: Sequence[int], order: int
 ) -> list[tuple[Fraction, ...]]:
-    """Raw moments of the given interaction order for every column, one row
-    per coordinate subset in lexicographic order. An order above m has no
-    subsets and gives no rows."""
+    """Raw moments of the given interaction order for the columns
+    vectors[k] / totals[k], one row per coordinate subset in lexicographic
+    order. Each entry is one Fraction of an integer sum. An order above m
+    has no subsets and gives no rows."""
     rows = []
     for subset in itertools.combinations(range(m), order):
         mask = 0
         for c in subset:
             mask |= 1 << c
+        support = [j for j in range(1 << m) if (j & mask) == mask]
         rows.append(tuple(
-            sum(v for j, v in enumerate(col.values) if (j & mask) == mask)
-            for col in columns
+            Fraction(sum(vec[j] for j in support), total)
+            for vec, total in zip(vectors, totals)
         ))
     return rows
 
@@ -284,7 +298,7 @@ def moment_map(rays: RayMatrix, order: int) -> MomentMap:
         tuple(c + 1 for c in subset)
         for subset in itertools.combinations(range(rays.m), order)
     )
-    entries = tuple(moment_rows(rays.m, rays.columns, order))
+    entries = tuple(moment_rows(rays.m, rays.vectors, rays.totals, order))
     return MomentMap(rays.m, order, labels, entries, rays)
 
 

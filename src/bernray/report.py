@@ -189,11 +189,26 @@ def rational_field(x: Fraction, precision: int) -> dict:
     return {"exact": str(x), "decimal": render_decimal(x, precision)}
 
 
-def vector_field(values: Sequence[Fraction], precision: int) -> dict:
-    return {
-        "exact": [str(v) for v in values],
-        "decimal": [render_decimal(v, precision) for v in values],
-    }
+def vector_field(
+    values: Sequence[Fraction | int],
+    precision: int,
+    total: int = 1,
+    cells: dict | None = None,
+) -> dict:
+    """Exact and decimal renderings of values / total. Calls that share a
+    cells dict render each distinct (value, total) cell once; the integer
+    ray columns of a rays report repeat a few hundred cells thousands of
+    times. Without one, nothing is hashed: a Fraction's hash costs about as
+    much as rendering it."""
+    if cells is None:
+        xs = values if total == 1 else [Fraction(v, total) for v in values]
+        return {"exact": [str(x) for x in xs], "decimal": [render_decimal(x, precision) for x in xs]}
+    for v in values:
+        if (v, total) not in cells:
+            x = Fraction(v, total)
+            cells[v, total] = (str(x), render_decimal(x, precision))
+    rendered = [cells[v, total] for v in values]
+    return {"exact": [e for e, _ in rendered], "decimal": [d for _, d in rendered]}
 
 
 def support_labels(m: int, paper_order: bool) -> list[str]:
@@ -240,8 +255,11 @@ def _write_atomic(text: str, path: str) -> None:
         raise
 
 
-def rays_csv_text(columns: Sequence[Sequence[Fraction]], m: int, paper_order: bool) -> str:
-    """One ray per column, exact cells, support labels in the first column."""
+def rays_csv_text(
+    vectors: Sequence[Sequence[int]], totals: Sequence[int], m: int, paper_order: bool
+) -> str:
+    """One ray vector / total per column, exact cells, support labels in the
+    first column. Each distinct (entry, total) cell is rendered once."""
     import csv
     import io
 
@@ -249,10 +267,14 @@ def rays_csv_text(columns: Sequence[Sequence[Fraction]], m: int, paper_order: bo
     buf = io.StringIO()
     buf.write(f"# support order: {order_note(paper_order)}\n")
     writer = csv.writer(buf)
-    writer.writerow(["point"] + [f"ray_{k+1}" for k in range(len(columns))])
-    rows = [reorder_support(col, paper_order) for col in columns]
+    writer.writerow(["point"] + [f"ray_{k+1}" for k in range(len(vectors))])
+    columns = [reorder_support(vec, paper_order) for vec in vectors]
+    cells: dict[tuple[int, int], str] = {}
     for r, label in enumerate(labels):
-        writer.writerow([label] + [str(rows[k][r]) for k in range(len(columns))])
+        for col, total in zip(columns, totals):
+            if (col[r], total) not in cells:
+                cells[col[r], total] = str(Fraction(col[r], total))
+        writer.writerow([label] + [cells[col[r], total] for col, total in zip(columns, totals)])
     return buf.getvalue()
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, sqrt
+from math import comb, lcm, sqrt
 from typing import Sequence
 
 from .cone import MomentMap, RayMatrix, margin_rays, moment_map, moment_rows
@@ -69,17 +69,17 @@ class ProjectionResult:
     #: True only when the duality gap reached the tolerance; False when the
     #: iteration cap or a stalled step ended the search first
     converged: bool
-    #: the columns lam indexes: the full ray matrix in ray mode, the
-    #: LP-discovered vertex subset in direct mode
-    columns: tuple[Density, ...] = ()
 
 
-def _mixture(m: int, columns: Sequence[Density], lam: Sequence[Fraction]) -> Density:
-    """The density sum_k lam_k columns_k."""
+def _mixture(
+    m: int, vectors: Sequence[Sequence[int]], totals: Sequence[int], lam: Sequence[Fraction]
+) -> Density:
+    """The density sum_k lam_k vectors_k / totals_k."""
     vals = [ZERO] * (1 << m)
-    for w, col in zip(lam, columns):
+    for w, vec, total in zip(lam, vectors, totals):
         if w:
-            for j, v in enumerate(col.values):
+            w /= total
+            for j, v in enumerate(vec):
                 if v:
                     vals[j] += w * v
     return Density(m, vals)
@@ -90,17 +90,18 @@ def _solve_fit(
     rows: list[list[Fraction]],
     b: list[Fraction],
     c: list[Fraction] | None = None,
-    columns: Sequence[Density] | None = None,
+    rays: RayMatrix | None = None,
 ) -> FitResult:
     """Solve rows . x = b over x >= 0, minimizing c . x when c is given. x is
-    the density itself, or the mixture weights over columns when given."""
+    the density itself, or the mixture weights over the rays when given."""
     res = solve_lp(rows, b, c=c)
     if res.status == "infeasible":
         return FitResult("infeasible", None, None, res.certificate, None, res.pivots)
     objective = None if c is None else res.objective
-    if columns is None:
+    if rays is None:
         return FitResult("feasible", None, Density(m, res.x), None, objective, res.pivots)
-    return FitResult("feasible", res.x, _mixture(m, columns, res.x), None, objective, res.pivots)
+    density = _mixture(m, rays.vectors, rays.totals, res.x)
+    return FitResult("feasible", res.x, density, None, objective, res.pivots)
 
 
 def fit_lambda(amap: MomentMap, mu2: PairMoments) -> FitResult:
@@ -113,7 +114,7 @@ def fit_lambda(amap: MomentMap, mu2: PairMoments) -> FitResult:
     rows = [list(r) for r in amap.entries]
     rows.append([ONE] * amap.rays.n_rays)
     b = list(mu2.values) + [ONE]
-    return _solve_fit(amap.m, rows, b, columns=amap.rays.columns)
+    return _solve_fit(amap.m, rows, b, rays=amap.rays)
 
 
 def _direct_rows(cls: FrechetClass, mu2: PairMoments) -> tuple[list[list[Fraction]], list[Fraction]]:
@@ -219,7 +220,7 @@ def nearest_feasible_correlation(
 
     fit = fit_lambda(amap, mu_t)
     if fit.status == "feasible":
-        return _attained(cls, rho, mu_t, fit.lam, fit.density, tuple(rays.columns))
+        return _attained(cls, rho, mu_t, fit.lam, fit.density)
 
     lam, iterations, gap, converged = _frank_wolfe(
         [list(r) for r in amap.entries],
@@ -227,7 +228,9 @@ def nearest_feasible_correlation(
         list(mu_t.values),
         max_iterations,
     )
-    return _projection_result(cls, rays.columns, lam, mu_t, iterations, gap, converged)
+    return _projection_result(
+        cls, rays.vectors, rays.totals, lam, mu_t, iterations, gap, converged
+    )
 
 
 def _attained(
@@ -236,7 +239,6 @@ def _attained(
     mu_t: PairMoments,
     lam: tuple[Fraction, ...],
     density: Density,
-    columns: tuple[Density, ...],
 ) -> ProjectionResult:
     """An attainable target is its own projection, at distance 0."""
     return ProjectionResult(
@@ -250,13 +252,13 @@ def _attained(
         0,
         ZERO,
         True,
-        columns,
     )
 
 
 def _projection_result(
     cls: FrechetClass,
-    columns: tuple[Density, ...],
+    vectors: Sequence[Sequence[int]],
+    totals: Sequence[int],
     lam: Sequence[Fraction],
     mu_t: PairMoments,
     iterations: int,
@@ -264,7 +266,7 @@ def _projection_result(
     converged: bool,
 ) -> ProjectionResult:
     weights = _pair_weights(cls)
-    mu_vals = _map_apply(moment_rows(cls.m, columns, 2), lam)
+    mu_vals = _map_apply(moment_rows(cls.m, vectors, totals, 2), lam)
     dist_sq = sum(w * (v - t) ** 2 for w, v, t in zip(weights, mu_vals, mu_t.values))
     mu_star = PairMoments(cls.m, mu_vals)
     return ProjectionResult(
@@ -274,11 +276,10 @@ def _projection_result(
         sqrt(float(dist_sq)),
         dist_sq,
         tuple(lam),
-        _mixture(cls.m, columns, lam),
+        _mixture(cls.m, vectors, totals, lam),
         iterations,
         gap,
         converged,
-        tuple(columns),
     )
 
 
@@ -295,15 +296,15 @@ def _nearest_direct(
     n = 1 << m
     fit = fit_density_direct(cls, mu_t)
     if fit.status == "feasible":
-        return _attained(cls, rho, mu_t, (ONE,), fit.density, (fit.density,))
+        return _attained(cls, rho, mu_t, (ONE,), fit.density)
 
     # the margin and unit-sum rows of the direct system bound the class
     # polytope; its pair rows give the objective's gradient
     rows, b = _direct_rows(cls, mu_t)
     margin_rows, margin_b = rows[:m] + rows[-1:], b[:m] + b[-1:]
     pair_rows = rows[m:-1]
-    base = solve_lp(margin_rows, margin_b)
-    vertices: list[Density] = [Density(m, base.x)]
+    vertex, total = _integer_vertex(m, solve_lp(margin_rows, margin_b).x)
+    vertices, totals = [vertex], [total]
     weights = _pair_weights(cls)
 
     lam = [ONE]
@@ -311,7 +312,7 @@ def _nearest_direct(
     gap = ZERO
     converged = False
     while total_iters < max_iterations:
-        entries = moment_rows(m, vertices, 2)
+        entries = moment_rows(m, vertices, totals, 2)
         lam, inner_iters, _, _ = _frank_wolfe(
             entries, weights, list(mu_t.values), max_iterations - total_iters
         )
@@ -320,19 +321,28 @@ def _nearest_direct(
         coeffs = [2 * w * (v - t) for w, v, t in zip(weights, mu_vals, mu_t.values)]
         grad = [sum((c for c, row in zip(coeffs, pair_rows) if row[k]), ZERO) for k in range(n)]
         current = sum(
-            g * v for g, v in zip(grad, _mixture(m, vertices, lam).values) if g
+            g * v for g, v in zip(grad, _mixture(m, vertices, totals, lam).values) if g
         )
         oracle = solve_lp(margin_rows, margin_b, c=grad)
         gap = current - oracle.objective
         if gap <= FW_GAP_TOLERANCE:
             converged = True
             break
-        new_vertex = Density(m, oracle.x)
-        if new_vertex in vertices:
+        vertex, total = _integer_vertex(m, oracle.x)
+        if vertex in vertices:
             break
-        vertices.append(new_vertex)
+        vertices.append(vertex)
+        totals.append(total)
         lam = lam + [ZERO]
-    return _projection_result(cls, tuple(vertices), lam, mu_t, total_iters, gap, converged)
+    return _projection_result(cls, vertices, totals, lam, mu_t, total_iters, gap, converged)
+
+
+def _integer_vertex(m: int, x: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """An LP vertex of the class polytope in ray form: the primitive integer
+    vector x * L and its total L, the lcm of the denominators of x."""
+    values = Density(m, x).values
+    total = lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (total // v.denominator) for v in values), total
 
 
 def _map_apply(entries: Sequence[Sequence[Fraction]], lam: Sequence[Fraction]) -> list[Fraction]:

@@ -19,13 +19,26 @@ from typing import Sequence
 #: 7 s and 10 s at m=8; fit takes 93 s (23,639 pivots) at m=9.
 SUPPORT_CAP = 8
 
+#: Largest decimal exponent magnitude in a rational literal. Fraction builds
+#: 10^e before anything can look at the value, so "1e-999999999" would be a
+#: runaway allocation; the bound matches Python's 4,300-digit int limit.
+MAX_DECIMAL_EXPONENT = 4300
+
 RationalLike = Fraction | int | str
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "a/b" or an exact decimal string ("0.3" -> 3/10)."""
+    """Parse "a/b" or an exact decimal string ("0.3" -> 3/10, "1e-3" ->
+    1/1000); a decimal exponent beyond MAX_DECIMAL_EXPONENT is refused."""
+    literal = str(text).strip()
     try:
-        return Fraction(str(text).strip())
+        exponent = abs(int(literal.upper().partition("E")[2] or 0))
+    except ValueError:
+        exponent = 0  # not an integer exponent: Fraction rejects the literal below
+    if exponent > MAX_DECIMAL_EXPONENT:
+        raise ValueError(f"decimal exponent of {text!r} exceeds {MAX_DECIMAL_EXPONENT} in magnitude")
+    try:
+        return Fraction(literal)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational literal: {text!r}") from exc
 

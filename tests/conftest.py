@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from bernray import FrechetClass, margin_rays
 
@@ -38,6 +39,10 @@ def mix3_rays():
 @pytest.fixture(scope="session")
 def skew3_rays():
     return margin_rays(SKEW3)
+
+
+#: margins p in (0, 1) with denominators up to 12
+MARGINS = st.integers(2, 12).flatmap(lambda d: st.integers(1, d - 1).map(lambda n: Fraction(n, d)))
 
 
 def random_margin(rng: random.Random) -> Fraction:

@@ -4,7 +4,9 @@ Everything here deliberately avoids the library's own algorithms: vertex
 enumeration by brute-force basis inspection instead of double description,
 LP optima by scanning vertices, projection by grid descent in floats,
 moments by direct summation over support points, pair bounds read off the
-rays, and Kronecker products formed densely.
+rays, and Kronecker products formed densely. The one exception is
+normalised_rays, which reuses the library's double description and checks
+only what follows it: normalisation to densities and the column order.
 """
 from __future__ import annotations
 
@@ -159,6 +161,22 @@ def ray_pair_bounds(p, rays, sqrt):
         rho_lo.append((mn - centre) / scale)
         rho_hi.append((mx - centre) / scale)
     return lo, hi, rho_lo, rho_hi
+
+
+def normalised_rays(matrix):
+    """The normalise-and-sort route to a ray matrix's columns: every
+    primitive double-description vector becomes a unit-mass Density, and the
+    densities are sorted on their Fraction values. Returns the sorted value
+    tuples."""
+    from bernray import Density
+    from bernray.cone import _double_description, _integer_rows
+
+    densities = []
+    for vec in _double_description(_integer_rows(matrix.rows), 1 << matrix.m):
+        total = sum(vec)
+        densities.append(Density(matrix.m, [Fraction(v, total) for v in vec]))
+    densities.sort(key=lambda d: d.values)
+    return [d.values for d in densities]
 
 
 def dense_kron(a, b):

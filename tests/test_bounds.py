@@ -18,7 +18,7 @@ from bernray import (
     margin_rays,
     pair_bounds,
 )
-from conftest import random_class
+from conftest import MARGINS, random_class
 
 F = Fraction
 HALF = F(1, 2)
@@ -112,11 +112,8 @@ def test_pair_bounds_m3_rows_match_marginalized_bivariate(skew3, skew3_rays):
         assert pb.moment_hi[k] == s.moment_hi
 
 
-_margins = st.integers(2, 12).flatmap(lambda d: st.integers(1, d - 1).map(lambda n: F(n, d)))
-
-
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 4).flatmap(lambda m: st.lists(_margins, min_size=m, max_size=m)))
+@given(st.integers(1, 4).flatmap(lambda m: st.lists(MARGINS, min_size=m, max_size=m)))
 def test_pair_bounds_closed_form_equals_ray_route(p):
     cls = FrechetClass(p)
     pb = pair_bounds(cls)

@@ -254,6 +254,23 @@ def test_m_above_support_cap_exits_4(tmp_path, capsys, command, m):
     assert "exceeds the cap of 8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command", ["rays", "bounds", "fit", "nearest", "minimize", "sample", "theta"]
+)
+@pytest.mark.parametrize("literal", ["1e-999999999", "2.5E+999999999", "1e-4301"])
+def test_runaway_decimal_exponent_exits_3(tmp_path, capsys, command, literal):
+    # Fraction would build 10^999999999 before any range check could run
+    spec = write_spec(
+        tmp_path, {"m": 2, "p": [literal, "1/2"], "rho": ["0"], "density": ["1/4"] * 4}
+    )
+    code, rep = run_cli(tmp_path, [command, "--input", spec, "--n", "5"])
+    assert code == 3
+    assert rep is None
+    assert capsys.readouterr().err.splitlines() == [
+        f"bernray: invalid input: p[0]: decimal exponent of {literal!r} exceeds 4300 in magnitude"
+    ]
+
+
 def test_csv_rejected_outside_rays_sample(tmp_path):
     spec = write_spec(tmp_path, {**SYM3_SPEC, **RHO_OK})
     code = main(["fit", "--input", spec, "--output", str(tmp_path / "x.json"),

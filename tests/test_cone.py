@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from bernray import (
@@ -18,7 +20,7 @@ from bernray import (
     pair_moment_rays,
 )
 from bernray.cone import _int_rank
-from conftest import random_class
+from conftest import MARGINS, random_class
 
 HALF = Fraction(1, 2)
 
@@ -102,6 +104,27 @@ def test_ray_columns_sorted_and_unique():
     cols = [tuple(c) for c in margin_rays(cls).column_values()]
     assert cols == sorted(cols)
     assert len(set(cols)) == len(cols)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda m: st.lists(MARGINS, min_size=m, max_size=m)))
+def test_extreme_rays_match_normalise_and_sort_reference(p):
+    h = build_h(FrechetClass(p))
+    assert extreme_rays(h).column_values() == oracles.normalised_rays(h)
+
+
+# the m=5 classes of the enumerate benchmark workload (2712, 3764, 1727 rays)
+@pytest.mark.parametrize(
+    "p",
+    [["1/2"] * 5, ["1/2", "1/6", "1/6", "4/5", "1/4"], ["1/3"] * 5],
+)
+def test_extreme_rays_match_normalise_and_sort_reference_m5(p):
+    h = build_h(FrechetClass(p))
+    rays = extreme_rays(h)
+    for vec, total in zip(rays.vectors, rays.totals):
+        assert total == sum(vec)
+        assert gcd(*vec) == 1
+    assert rays.column_values() == oracles.normalised_rays(h)
 
 
 def test_pair_moment_rays_match_oracle():

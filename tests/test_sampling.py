@@ -1,6 +1,9 @@
 import io
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from bernray import (
     Density,
     FrechetClass,
@@ -102,3 +105,21 @@ def test_iter_points_bit_convention():
                 )
     batch = sample(f, 3, seed=0)
     assert all(pt == (1, 0, 1) for pt in batch.iter_points())
+
+
+@st.composite
+def _densities(draw):
+    m = draw(st.integers(1, 4))
+    weights = draw(st.lists(st.integers(0, 9), min_size=1 << m, max_size=1 << m))
+    weights[draw(st.integers(0, (1 << m) - 1))] += 1
+    return Density(m, [F(w, sum(weights)) for w in weights])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_densities(), st.integers(1, 2000), st.integers(0, 2**64 - 1))
+def test_sampling_is_deterministic(f, n, seed):
+    first = sample(f, n, seed)
+    again = sample(Density(f.m, f.values), n, seed)
+    assert first == again
+    for order in range(1, f.m + 1):
+        assert empirical_moments(first, order) == empirical_moments(again, order)

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from bernray import (
@@ -11,6 +13,7 @@ from bernray import (
     fit_density_direct,
     fit_lambda,
     higher_moment_objective,
+    margin_rays,
     margins_of,
     minimize_higher_moments,
     moment_map,
@@ -20,6 +23,7 @@ from bernray import (
 )
 from bernray.simplex import verify_farkas
 from bernray.solvers import _direct_rows, _pair_weights
+from conftest import MARGINS
 
 F = Fraction
 HALF = F(1, 2)
@@ -188,8 +192,6 @@ def test_projection_deterministic(sym3, sym3_rays):
 def test_projection_random_targets_beat_grid_oracle():
     rng = random.Random(83)
     cls = FrechetClass([F(1, 4), F(3, 4), HALF])
-    from bernray import margin_rays
-
     rays = margin_rays(cls)
     amap = moment_map(rays, 2)
     cols = [col for col in zip(*amap.entries)]
@@ -203,3 +205,46 @@ def test_projection_random_targets_beat_grid_oracle():
         oracle = oracles.grid_projection_distance(cols, weights, target.values)
         # never worse than the oracle by more than its own resolution
         assert res.distance <= oracle + 1e-7
+
+
+@st.composite
+def _class_and_target(draw):
+    """A class with m <= 4 and a pair-moment target: a mixture of up to three
+    of its rays (feasible), or arbitrary moments in [0, 1] (mostly not)."""
+    m = draw(st.integers(2, 4))
+    cls = FrechetClass(draw(st.lists(MARGINS, min_size=m, max_size=m)))
+    rays = margin_rays(cls)
+    if draw(st.booleans()):
+        cols = rays.column_values()
+        picks = draw(st.lists(st.integers(0, len(cols) - 1), min_size=1, max_size=3))
+        weights = draw(st.lists(st.integers(1, 5), min_size=len(picks), max_size=len(picks)))
+        mixed = [
+            sum(F(w, sum(weights)) * cols[k][j] for k, w in zip(picks, weights))
+            for j in range(1 << m)
+        ]
+        return cls, rays, PairMoments(m, oracles.direct_pair_moments(mixed)), True
+    values = draw(st.lists(
+        st.fractions(F(0), F(1), max_denominator=12), min_size=m * (m - 1) // 2,
+        max_size=m * (m - 1) // 2,
+    ))
+    return cls, rays, PairMoments(m, values), False
+
+
+@settings(max_examples=40, deadline=None)
+@given(_class_and_target())
+def test_ray_and_direct_mode_agree(case):
+    cls, rays, mu2, mixture = case
+    amap = moment_map(rays, 2)
+    ray_fit = fit_lambda(amap, mu2)
+    direct = fit_density_direct(cls, mu2)
+    assert ray_fit.status == direct.status
+    if mixture:
+        assert direct.status == "feasible"
+    if direct.status == "feasible":
+        for fit in (ray_fit, direct):
+            assert pair_moments_of(fit.density).values == mu2.values
+            assert tuple(margins_of(fit.density)) == cls.p
+    else:
+        rows = [list(r) for r in amap.entries] + [[F(1)] * rays.n_rays]
+        assert verify_farkas(rows, list(mu2.values) + [F(1)], ray_fit.certificate)
+        assert verify_farkas(*_direct_rows(cls, mu2), direct.certificate)

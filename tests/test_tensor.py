@@ -34,6 +34,14 @@ def test_parse_rational_rejects_garbage():
         parse_rational("abc")
 
 
+def test_parse_rational_bounds_the_decimal_exponent():
+    assert parse_rational("1e-4300") == Fraction(1, 10**4300)
+    assert parse_rational("-2.5E+4_300") == Fraction(-25 * 10**4299)
+    for text in ["1e-4301", "1E4301", "0.5e+999999999", "1e-1_000_000_000"]:
+        with pytest.raises(ValueError, match="exceeds 4300 in magnitude"):
+            parse_rational(text)
+
+
 def test_kron_small_known():
     # [[1,0],[-1,1]] (x) [[1,0],[-1,1]] worked out by hand
     expected = [
