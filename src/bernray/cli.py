@@ -25,6 +25,7 @@ from .report import (
     MAX_PRECISION,
     ProblemSpec,
     SpecError,
+    exact_text,
     order_note,
     parse_density_payload,
     parse_problem_spec,
@@ -108,7 +109,7 @@ def _density_payload(density, args) -> dict:
 
 def _certificate_payload(fit: FitResult, rows_note: str) -> dict:
     return {
-        "y": [str(v) for v in fit.certificate],
+        "y": [exact_text(v) for v in fit.certificate],
         "rows": rows_note,
         "meaning": "y.A >= 0 componentwise and y.b < 0 for the stated rows",
     }
@@ -198,13 +199,13 @@ def _nearest(args, spec: ProblemSpec, cls, report: dict) -> int:
     report["mu2_star"] = vector_field(proj.mu2_star.values, precision)
     report["distance"] = {
         "decimal": repr(proj.distance),
-        "squared_exact": str(proj.distance_sq),
+        "squared_exact": exact_text(proj.distance_sq),
     }
     report["lambda"] = vector_field(proj.lam, precision)
     report["density"] = _density_payload(proj.density, args)
     report["fw"] = {
         "iterations": proj.iterations,
-        "gap_exact": str(proj.gap),
+        "gap_exact": exact_text(proj.gap),
         "converged": proj.converged,
     }
     return EXIT_OK

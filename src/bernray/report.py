@@ -178,6 +178,29 @@ def parse_density_payload(obj: Any, m: int) -> Density:
 # rendering
 
 
+#: An integer under 2^_STR_BITS has under 640 digits, the least int-to-str
+#: limit Python accepts, so str() never refuses it.
+_STR_BITS = 2000
+
+
+def _int_text(n: int) -> str:
+    """str(n), splitting at a power of ten until every part converts under
+    Python's int-to-str digit limit."""
+    if n.bit_length() <= _STR_BITS:
+        return str(n)
+    if n < 0:
+        return "-" + _int_text(-n)
+    half = n.bit_length() * 3 // 20  # about half the digits
+    high, low = divmod(n, 10**half)
+    return _int_text(high) + _int_text(low).zfill(half)
+
+
+def exact_text(x: Fraction | int) -> str:
+    """str(x) of an exact rational, at any size."""
+    n, d = x.numerator, x.denominator
+    return _int_text(n) if d == 1 else f"{_int_text(n)}/{_int_text(d)}"
+
+
 def render_decimal(x: Fraction, precision: int = DEFAULT_PRECISION) -> str:
     with localcontext() as ctx:
         ctx.prec = precision
@@ -186,7 +209,7 @@ def render_decimal(x: Fraction, precision: int = DEFAULT_PRECISION) -> str:
 
 
 def rational_field(x: Fraction, precision: int) -> dict:
-    return {"exact": str(x), "decimal": render_decimal(x, precision)}
+    return {"exact": exact_text(x), "decimal": render_decimal(x, precision)}
 
 
 def vector_field(
@@ -202,11 +225,14 @@ def vector_field(
     much as rendering it."""
     if cells is None:
         xs = values if total == 1 else [Fraction(v, total) for v in values]
-        return {"exact": [str(x) for x in xs], "decimal": [render_decimal(x, precision) for x in xs]}
+        return {
+            "exact": [exact_text(x) for x in xs],
+            "decimal": [render_decimal(x, precision) for x in xs],
+        }
     for v in values:
         if (v, total) not in cells:
             x = Fraction(v, total)
-            cells[v, total] = (str(x), render_decimal(x, precision))
+            cells[v, total] = (exact_text(x), render_decimal(x, precision))
     rendered = [cells[v, total] for v in values]
     return {"exact": [e for e, _ in rendered], "decimal": [d for _, d in rendered]}
 
@@ -273,7 +299,7 @@ def rays_csv_text(
     for r, label in enumerate(labels):
         for col, total in zip(columns, totals):
             if (col[r], total) not in cells:
-                cells[col[r], total] = str(Fraction(col[r], total))
+                cells[col[r], total] = exact_text(Fraction(col[r], total))
         writer.writerow([label] + [cells[col[r], total] for col, total in zip(columns, totals)])
     return buf.getvalue()
 

@@ -12,9 +12,9 @@ Three exact LP-backed entry points:
 Infeasible targets come back with an exact rational Farkas certificate.
 
 For unattainable correlation targets, nearest_feasible_correlation returns
-the closest attainable point in the Euclidean correlation metric, computed by
-Frank-Wolfe with away steps over the ray-weight simplex with exact rational
-line search.
+the closest attainable point in the Euclidean correlation metric, exactly:
+Wolfe's minimum-norm-point algorithm over the class polytope, whose vertices
+come from a scan of the ray columns or from an exact LP over the 2^m masses.
 """
 from __future__ import annotations
 
@@ -38,12 +38,6 @@ from .simplex import solve_lp
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-#: Frank-Wolfe stops when the duality gap of the squared distance drops here
-FW_GAP_TOLERANCE = Fraction(1, 10**12)
-FW_MAX_ITERATIONS = 10**5
-# iterates are snapped to this denominator to stop exact-arithmetic blowup
-_FW_SNAP_BITS = 256
-
 
 @dataclass(frozen=True)
 class FitResult:
@@ -64,10 +58,11 @@ class ProjectionResult:
     distance_sq: Fraction
     lam: tuple[Fraction, ...]
     density: Density
+    #: major cycles of Wolfe's algorithm (0 for an attained target)
     iterations: int
+    #: <x, x> - min over the polytope of <x, y - t> at the answer's residual x
     gap: Fraction
-    #: True only when the duality gap reached the tolerance; False when the
-    #: iteration cap or a stalled step ended the search first
+    #: gap == 0: the answer is certified to be the projection
     converged: bool
 
 
@@ -174,167 +169,119 @@ def _pair_weights(cls: FrechetClass) -> list[Fraction]:
     ]
 
 
-def _snap_simplex(lam: list[Fraction]) -> list[Fraction]:
-    """Round to denominator 2^_FW_SNAP_BITS and restore the exact unit sum;
-    stays a valid simplex point and perturbs by ~2^-250."""
-    den = 1 << _FW_SNAP_BITS
-    snapped = [Fraction(round(v * den), den) for v in lam]
-    deficit = 1 - sum(snapped)
-    if deficit:
-        k = max(range(len(snapped)), key=lambda i: snapped[i])
-        snapped[k] += deficit
-        if snapped[k] < 0:
-            raise ArithmeticError("snap produced a negative weight")
-    return snapped
-
-
 def nearest_feasible_correlation(
     cls: FrechetClass,
     rho: CorrelationSpec,
     rays: RayMatrix | None = None,
     mode: str = "rays",
-    max_iterations: int = FW_MAX_ITERATIONS,
 ) -> ProjectionResult:
     """Project a correlation target onto the attainable set.
 
-    Attainable targets come straight back with distance 0 and the fitting
-    weights. Otherwise Frank-Wolfe with away steps minimizes the weighted
-    squared moment distance (exactly the squared Euclidean distance in
-    correlation coordinates) over the ray-weight simplex, stopping at duality
-    gap below FW_GAP_TOLERANCE or at the iteration cap.
+    Attainable targets come straight back with distance 0 and the weights of
+    one exact fit LP. Otherwise Wolfe's minimum-norm-point algorithm finds the
+    attainable pair moments nearest the target in the metric
+    sum_ij (mu_ij - t_ij)^2 / (p_i q_i p_j q_j), which is exactly the squared
+    Euclidean distance in correlation coordinates. The algorithm is finite
+    and exact: the answer is the projection itself, certified by a gap of 0.
 
-    mode "rays" works over the enumerated ray matrix; mode "direct" never
-    enumerates, generating vertices on demand with an exact LP oracle, so it
-    has no dimension cap.
+    mode "rays" takes its vertices from the enumerated ray matrix; mode
+    "direct" never enumerates and asks one exact LP over the class polytope
+    for each vertex, so it has no dimension cap. Both modes give the same
+    projection; only the mixture weights behind it may differ.
     """
     if rho.m != cls.m:
         raise ValueError("correlation dimension does not match the class")
     mu_t = mu2_from_rho(cls, rho)
     if mode == "direct":
-        return _nearest_direct(cls, rho, mu_t, max_iterations)
-    if mode != "rays":
+        fit = fit_density_direct(cls, mu_t)
+    elif mode == "rays":
+        if rays is None:
+            rays = margin_rays(cls)
+        amap = moment_map(rays, 2)
+        fit = fit_lambda(amap, mu_t)
+    else:
         raise ValueError(f"unknown projection mode {mode!r}")
-    if rays is None:
-        rays = margin_rays(cls)
-    amap = moment_map(rays, 2)
-
-    fit = fit_lambda(amap, mu_t)
     if fit.status == "feasible":
-        return _attained(cls, rho, mu_t, fit.lam, fit.density)
+        return ProjectionResult(
+            "feasible",
+            CorrelationSpec(cls.m, rho.values),
+            PairMoments(cls.m, mu_t.values),
+            0.0,
+            ZERO,
+            fit.lam or (ONE,),
+            fit.density,
+            0,
+            ZERO,
+            True,
+        )
 
-    lam, iterations, gap, converged = _frank_wolfe(
-        [list(r) for r in amap.entries],
-        _pair_weights(cls),
-        list(mu_t.values),
-        max_iterations,
-    )
-    return _projection_result(
-        cls, rays.vectors, rays.totals, lam, mu_t, iterations, gap, converged
-    )
-
-
-def _attained(
-    cls: FrechetClass,
-    rho: CorrelationSpec,
-    mu_t: PairMoments,
-    lam: tuple[Fraction, ...],
-    density: Density,
-) -> ProjectionResult:
-    """An attainable target is its own projection, at distance 0."""
-    return ProjectionResult(
-        "feasible",
-        CorrelationSpec(cls.m, rho.values),
-        PairMoments(cls.m, mu_t.values),
-        0.0,
-        ZERO,
-        lam,
-        density,
-        0,
-        ZERO,
-        True,
-    )
-
-
-def _projection_result(
-    cls: FrechetClass,
-    vectors: Sequence[Sequence[int]],
-    totals: Sequence[int],
-    lam: Sequence[Fraction],
-    mu_t: PairMoments,
-    iterations: int,
-    gap: Fraction,
-    converged: bool,
-) -> ProjectionResult:
     weights = _pair_weights(cls)
-    mu_vals = _map_apply(moment_rows(cls.m, vectors, totals, 2), lam)
-    dist_sq = sum(w * (v - t) ** 2 for w, v, t in zip(weights, mu_vals, mu_t.values))
-    mu_star = PairMoments(cls.m, mu_vals)
+    oracle = _column_oracle(amap) if mode == "rays" else _vertex_oracle(cls, mu_t)
+    keys, lam, x, iterations, gap = _wolfe(oracle, weights, mu_t.values)
+    if mode == "rays":
+        vectors = [rays.vectors[k] for k in keys]
+        totals = [rays.totals[k] for k in keys]
+        full = [ZERO] * rays.n_rays
+        for k, w in zip(keys, lam):
+            full[k] = w
+    else:
+        vectors = [vector for vector, _ in keys]
+        totals = [total for _, total in keys]
+        full = lam
+    mu_star = PairMoments(cls.m, [v + t for v, t in zip(x, mu_t.values)])
+    dist_sq = sum(w * v * v for w, v in zip(weights, x))
     return ProjectionResult(
         "projected",
         rho_from_mu2(cls, mu_star),
         mu_star,
         sqrt(float(dist_sq)),
         dist_sq,
-        tuple(lam),
+        tuple(full),
         _mixture(cls.m, vectors, totals, lam),
         iterations,
         gap,
-        converged,
+        gap == 0,
     )
 
 
-def _nearest_direct(
-    cls: FrechetClass,
-    rho: CorrelationSpec,
-    mu_t: PairMoments,
-    max_iterations: int,
-) -> ProjectionResult:
-    """Simplicial decomposition: alternate an exact restricted Frank-Wolfe
-    over the vertices discovered so far with an exact LP oracle that either
-    certifies the full-polytope duality gap or produces a new vertex."""
+def _column_oracle(amap: MomentMap):
+    """Linear minimization over the ray columns' pair moments: a scan in
+    integers, ties to the lowest index. Keys are column indices."""
+    columns = list(zip(*amap.entries))
+    totals = amap.rays.totals
+    # column k is sums[k] / totals[k] with integer sums
+    sums = [
+        [a.numerator * (total // a.denominator) for a in col]
+        for col, total in zip(columns, totals)
+    ]
+
+    def oracle(c: Sequence[Fraction]) -> tuple[int, Sequence[Fraction]]:
+        scale = lcm(*(v.denominator for v in c))
+        ci = [v.numerator * (scale // v.denominator) for v in c]
+        k = min(
+            range(len(sums)),
+            key=lambda k: Fraction(sum(a * b for a, b in zip(ci, sums[k]) if a), totals[k]),
+        )
+        return k, columns[k]
+
+    return oracle
+
+
+def _vertex_oracle(cls: FrechetClass, mu_t: PairMoments):
+    """Linear minimization over the class polytope: one exact LP over the
+    margin and unit-sum rows of the direct system, whose pair rows turn the
+    objective on pair moments into one on the 2^m masses. Keys are the
+    vertices in ray form."""
     m = cls.m
-    n = 1 << m
-    fit = fit_density_direct(cls, mu_t)
-    if fit.status == "feasible":
-        return _attained(cls, rho, mu_t, (ONE,), fit.density)
-
-    # the margin and unit-sum rows of the direct system bound the class
-    # polytope; its pair rows give the objective's gradient
     rows, b = _direct_rows(cls, mu_t)
-    margin_rows, margin_b = rows[:m] + rows[-1:], b[:m] + b[-1:]
-    pair_rows = rows[m:-1]
-    vertex, total = _integer_vertex(m, solve_lp(margin_rows, margin_b).x)
-    vertices, totals = [vertex], [total]
-    weights = _pair_weights(cls)
+    margin_rows, margin_b, pair_rows = rows[:m] + rows[-1:], b[:m] + b[-1:], rows[m:-1]
 
-    lam = [ONE]
-    total_iters = 0
-    gap = ZERO
-    converged = False
-    while total_iters < max_iterations:
-        entries = moment_rows(m, vertices, totals, 2)
-        lam, inner_iters, _, _ = _frank_wolfe(
-            entries, weights, list(mu_t.values), max_iterations - total_iters
-        )
-        total_iters += max(inner_iters, 1)
-        mu_vals = _map_apply(entries, lam)
-        coeffs = [2 * w * (v - t) for w, v, t in zip(weights, mu_vals, mu_t.values)]
-        grad = [sum((c for c, row in zip(coeffs, pair_rows) if row[k]), ZERO) for k in range(n)]
-        current = sum(
-            g * v for g, v in zip(grad, _mixture(m, vertices, totals, lam).values) if g
-        )
-        oracle = solve_lp(margin_rows, margin_b, c=grad)
-        gap = current - oracle.objective
-        if gap <= FW_GAP_TOLERANCE:
-            converged = True
-            break
-        vertex, total = _integer_vertex(m, oracle.x)
-        if vertex in vertices:
-            break
-        vertices.append(vertex)
-        totals.append(total)
-        lam = lam + [ZERO]
-    return _projection_result(cls, vertices, totals, lam, mu_t, total_iters, gap, converged)
+    def oracle(c: Sequence[Fraction]) -> tuple[tuple[tuple[int, ...], int], list[Fraction]]:
+        cost = [sum((a for a, row in zip(c, pair_rows) if row[j]), ZERO) for j in range(1 << m)]
+        vertex, total = _integer_vertex(m, solve_lp(margin_rows, margin_b, c=cost).x)
+        return (vertex, total), [row[0] for row in moment_rows(m, [vertex], [total], 2)]
+
+    return oracle
 
 
 def _integer_vertex(m: int, x: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
@@ -345,82 +292,71 @@ def _integer_vertex(m: int, x: Sequence[Fraction]) -> tuple[tuple[int, ...], int
     return tuple(v.numerator * (total // v.denominator) for v in values), total
 
 
-def _map_apply(entries: Sequence[Sequence[Fraction]], lam: Sequence[Fraction]) -> list[Fraction]:
-    return [sum(a * w for a, w in zip(row, lam) if w) for row in entries]
+def _wolfe(oracle, weights: Sequence[Fraction], target: Sequence[Fraction]):
+    """Wolfe's minimum-norm-point algorithm (Math. Programming 11, 1976) over
+    the polytope conv{a} - t in the norm <v, v> = sum_k w_k v_k^2.
+
+    oracle(c) returns (key, a) for a vertex a minimizing c.a. Each major cycle
+    asks it for the vertex y minimizing <x, y - t> at the current point x and
+    stops, exactly, once that is no less than <x, x>: x is then the minimum-
+    norm point. Otherwise y - t joins the corral, and minor cycles move x to
+    the affine minimizer of the corral; while that minimizer has a weight
+    <= 0, x steps back to the boundary of the corral's simplex and the points
+    whose weight reaches 0 leave. Each major cycle lowers <x, x> strictly,
+    so no corral repeats and the loop is finite.
+
+    Returns the corral keys, their weights, x, the major-cycle count and the
+    gap <x, x> - min <x, y - t>, which is 0."""
+
+    def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
+        return sum(w * a * b for w, a, b in zip(weights, u, v))
+
+    key, a = oracle([ZERO] * len(target))  # any vertex starts the corral
+    x = [v - t for v, t in zip(a, target)]
+    keys, points, lam, gram = [key], [x], [ONE], [[dot(x, x)]]
+    cycles = 0
+    while True:
+        cycles += 1
+        key, a = oracle([w * v for w, v in zip(weights, x)])
+        y = [v - t for v, t in zip(a, target)]
+        xx, xy = dot(x, x), dot(x, y)
+        if xy >= xx:
+            return keys, lam, x, cycles, xx - xy
+        row = [dot(p, y) for p in points]
+        for g, v in zip(gram, row):
+            g.append(v)
+        gram.append(row + [dot(y, y)])
+        keys, points, lam = keys + [key], points + [y], lam + [ZERO]
+        while True:
+            alpha = _affine_minimizer(gram)
+            if all(v > 0 for v in alpha):
+                lam = alpha
+                break
+            theta = min(w / (w - v) for w, v in zip(lam, alpha) if v <= 0)
+            lam = [w + theta * (v - w) for w, v in zip(lam, alpha)]
+            keep = [k for k, w in enumerate(lam) if w > 0]
+            keys = [keys[k] for k in keep]
+            points = [points[k] for k in keep]
+            lam = [lam[k] for k in keep]
+            gram = [[gram[i][j] for j in keep] for i in keep]
+        x = [sum(w * p[i] for w, p in zip(lam, points)) for i in range(len(target))]
 
 
-def _frank_wolfe(
-    columns_by_row: Sequence[Sequence[Fraction]],
-    weights: list[Fraction],
-    target: list[Fraction],
-    max_iterations: int,
-) -> tuple[list[Fraction], int, Fraction, bool]:
-    """Minimize sum_k w_k ((A lam)_k - t_k)^2 over the simplex.
-
-    Away-step variant with exact rational line search; deterministic tie
-    breaks (lowest index). Returns (lam, iterations, final gap, whether the
-    gap reached FW_GAP_TOLERANCE)."""
-    nrows = len(columns_by_row)
-    n = len(columns_by_row[0])
-
-    def column(i: int) -> list[Fraction]:
-        return [columns_by_row[k][i] for k in range(nrows)]
-
-    # start at the single best vertex
-    best_i, best_val = 0, None
-    for i in range(n):
-        col = column(i)
-        val = sum(w * (c - t) ** 2 for w, c, t in zip(weights, col, target))
-        if best_val is None or val < best_val:
-            best_i, best_val = i, val
-    lam = [ZERO] * n
-    lam[best_i] = ONE
-
-    gap = ZERO
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        mu = _map_apply(columns_by_row, lam)
-        resid = [v - t for v, t in zip(mu, target)]
-        # gradient over vertices: g_i = 2 sum_k w_k resid_k A_ki
-        g = [
-            2 * sum(w * r * columns_by_row[k][i] for k, (w, r) in enumerate(zip(weights, resid)) if r)
-            for i in range(n)
-        ]
-        g_lam = sum(gi * li for gi, li in zip(g, lam) if li)
-        s = min(range(n), key=lambda i: (g[i], i))
-        gap = g_lam - g[s]
-        if gap <= FW_GAP_TOLERANCE:
-            converged = True
-            break
-        active = [i for i, v in enumerate(lam) if v > 0]
-        a = max(active, key=lambda i: (g[i], -i))
-        away_gain = g[a] - g_lam
-
-        if gap >= away_gain or lam[a] == 1:
-            direction = [(-v) for v in lam]
-            direction[s] += 1
-            gamma_max = ONE
-        else:
-            direction = list(lam)
-            direction[a] -= 1
-            gamma_max = lam[a] / (1 - lam[a])
-
-        d_mu = _map_apply(columns_by_row, direction)
-        curvature = sum(w * dv * dv for w, dv in zip(weights, d_mu) if dv)
-        slope = sum(gi * di for gi, di in zip(g, direction) if di)
-        if curvature == 0:
-            gamma = gamma_max if slope < 0 else ZERO
-        else:
-            gamma = -slope / (2 * curvature)
-            if gamma < 0:
-                gamma = ZERO
-            elif gamma > gamma_max:
-                gamma = gamma_max
-        if gamma == 0:
-            break
-        lam = [v + gamma * dv for v, dv in zip(lam, direction)]
-        lam = [v if v > 0 else ZERO for v in lam]
-        if max(v.denominator for v in lam).bit_length() > _FW_SNAP_BITS:
-            lam = _snap_simplex(lam)
-    return lam, iterations, gap, converged
+def _affine_minimizer(gram: Sequence[Sequence[Fraction]]) -> list[Fraction]:
+    """Affine weights of the minimum-norm point in the affine hull of
+    affinely independent points with Gram matrix gram: the solution alpha of
+    [G 1; 1' 0] [alpha; mu] = [0; 1], by exact Gauss-Jordan elimination."""
+    n = len(gram)
+    rows = [list(g) + [ONE, ZERO] for g in gram] + [[ONE] * n + [ZERO, ONE]]
+    for col in range(n + 1):
+        piv = next(r for r in range(col, n + 1) if rows[r][col])
+        rows[col], rows[piv] = rows[piv], rows[col]
+        pivot_row = rows[col]
+        inv = 1 / pivot_row[col]
+        for j in range(col, n + 2):
+            pivot_row[j] *= inv
+        for r in range(n + 1):
+            f = rows[r][col]
+            if r != col and f:
+                rows[r] = [v - f * pv for v, pv in zip(rows[r], pivot_row)]
+    return [rows[k][n + 1] for k in range(n)]

@@ -2,8 +2,8 @@
 
 Everything here deliberately avoids the library's own algorithms: vertex
 enumeration by brute-force basis inspection instead of double description,
-LP optima by scanning vertices, projection by grid descent in floats,
-moments by direct summation over support points, pair bounds read off the
+LP optima by scanning vertices, projection by grid descent in floats and
+certified by a vertex scan, moments by direct summation over support points, pair bounds read off the
 rays, and Kronecker products formed densely. The one exception is
 normalised_rays, which reuses the library's double description and checks
 only what follows it: normalisation to densities and the column order.
@@ -239,6 +239,30 @@ def grid_projection_distance(columns, weights, target, resolution=8, shrink_roun
         if step < 1e-12:
             break
     return sqrt(best_val)
+
+
+def projection_certified(p, target, mu2_star, vertices):
+    """Exact optimality of a projected point in the correlation metric.
+
+    With W = 1/(p_i q_i p_j q_j) per pair and x = mu2_star - target, the
+    point is the projection of target onto the convex hull of the vertices'
+    pair moments exactly when min over the vertices y of <x, y - target>_W
+    equals <x, x>_W (mu2_star itself must lie in the hull; callers check its
+    density). vertices are densities in canonical support order."""
+    m = len(p)
+    weights = [
+        1 / (p[i] * (1 - p[i]) * p[j] * (1 - p[j]))
+        for i, j in itertools.combinations(range(m), 2)
+    ]
+    x = [a - t for a, t in zip(mu2_star, target)]
+
+    def inner(u, v):
+        return sum(w * a * b for w, a, b in zip(weights, u, v))
+
+    lowest = min(
+        inner(x, [y - t for y, t in zip(direct_pair_moments(f), target)]) for f in vertices
+    )
+    return lowest == inner(x, x)
 
 
 def _compositions(total, parts):

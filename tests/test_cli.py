@@ -271,6 +271,36 @@ def test_runaway_decimal_exponent_exits_3(tmp_path, capsys, command, literal):
     ]
 
 
+# spec values may have 4,300 digits, and derived exact fields (correlation
+# ranges, certificates, projections) run past Python's int-to-str limit
+HUGE_DIGITS_SPEC = {"m": 2, "p": ["1e-4000", "1/2"], "rho": ["0.9"]}
+# rho = 0.9 is far outside the class's correlation range, about +-1e-2000;
+# sample needs n and theta a density, which the bare spec lacks
+HUGE_DIGITS_EXITS = {
+    "rays": 0, "bounds": 0, "fit": 2, "nearest": 0, "minimize": 2, "sample": 3, "theta": 3,
+}
+
+
+@pytest.mark.parametrize("command", list(HUGE_DIGITS_EXITS))
+def test_fields_past_the_digit_limit_render(tmp_path, capsys, command):
+    spec = write_spec(tmp_path, HUGE_DIGITS_SPEC)
+    code, rep = run_cli(tmp_path, [command, "--input", spec])
+    assert code == HUGE_DIGITS_EXITS[command]
+    err = capsys.readouterr().err.splitlines()
+    if code == 3:
+        assert rep is None
+        assert len(err) == 1 and err[0].startswith("bernray: invalid input: ")
+        return
+    assert err == []
+    assert [F(v) for v in rep["p"]["exact"]] == [F(1, 10**4000), F(1, 2)]
+    if command == "bounds":
+        assert max(len(v) for v in rep["pairs"][0]["rho_hi"]["exact"].split("/")) > 4300
+    if command == "nearest":
+        assert rep["status"] == "projected"
+        assert rep["fw"]["gap_exact"] == "0"
+        assert len(rep["distance"]["squared_exact"]) > 4300
+
+
 def test_csv_rejected_outside_rays_sample(tmp_path):
     spec = write_spec(tmp_path, {**SYM3_SPEC, **RHO_OK})
     code = main(["fit", "--input", spec, "--output", str(tmp_path / "x.json"),
@@ -453,7 +483,7 @@ def _specs(draw):
     (wrong type, bad rationals, wrong length, unknown field), or junk."""
     kind = draw(st.sampled_from(["well-formed", "one-bad-field", "junk"]))
     if kind == "junk":
-        return draw(_junk)
+        return draw(_junk | st.just(HUGE_DIGITS_SPEC))
     spec = draw(_well_formed())
     if kind == "one-bad-field":
         key = draw(st.sampled_from(["m", "p", "rho", "mu2", "options", "density", "unknown"]))

@@ -164,21 +164,46 @@ def test_projection_direct_mode_matches_ray_mode(sym3, sym3_rays):
     ray_res = nearest_feasible_correlation(sym3, RHO_INFEASIBLE, rays=sym3_rays)
     direct = nearest_feasible_correlation(sym3, RHO_INFEASIBLE, mode="direct")
     assert direct.status == "projected"
-    assert direct.distance == pytest.approx(ray_res.distance, abs=1e-9)
+    assert direct.distance_sq == ray_res.distance_sq
+    assert direct.distance == ray_res.distance
     assert pair_moments_of(direct.density).values == direct.mu2_star.values
 
 
+def _certified(cls, rho, res, vertices):
+    target = mu2_from_rho(cls, rho).values
+    return oracles.projection_certified(cls.p, target, res.mu2_star.values, vertices)
+
+
 @pytest.mark.parametrize("mode", ["rays", "direct"])
-def test_projection_reports_convergence(sym3, sym3_rays, mode):
-    rays = sym3_rays if mode == "rays" else None
-    full = nearest_feasible_correlation(sym3, RHO_INFEASIBLE, rays=rays, mode=mode)
-    assert full.converged is True
-    capped = nearest_feasible_correlation(
-        sym3, RHO_INFEASIBLE, rays=rays, mode=mode, max_iterations=1
-    )
-    assert capped.status == "projected"
-    assert capped.converged is False
-    assert capped.gap > F(1, 10**12)
+def test_projection_certificate(sym3, sym3_rays, mode):
+    # ray mode against every ray column, direct mode against every vertex of
+    # the class polytope found by basis inspection
+    res = nearest_feasible_correlation(sym3, RHO_INFEASIBLE, rays=sym3_rays, mode=mode)
+    assert res.status == "projected"
+    assert res.gap == 0
+    assert res.converged is True
+    if mode == "rays":
+        vertices = sym3_rays.column_values()
+    else:
+        vertices = oracles.bfs_vertices(*oracles.class_polytope_rows(sym3.p))
+    assert _certified(sym3, RHO_INFEASIBLE, res, vertices)
+    assert pair_moments_of(res.density).values == res.mu2_star.values
+    assert tuple(margins_of(res.density)) == sym3.p
+
+
+def test_projection_modes_agree_on_project_cases_1_and_3():
+    # the m=4 ray-mode and direct-mode targets of the project workload: one
+    # class, one target, so one exact projection
+    cls = FrechetClass([F(2, 3), F(1, 4), F(1, 5), F(4, 5)])
+    rho = CorrelationSpec(4, [F(v) for v in ("-0.78", "0.12", "0.04", "0.38", "-0.85", "-0.93")])
+    rays = margin_rays(cls)
+    ray_res = nearest_feasible_correlation(cls, rho, rays=rays)
+    direct = nearest_feasible_correlation(cls, rho, mode="direct")
+    assert ray_res.status == direct.status == "projected"
+    assert ray_res.distance_sq == direct.distance_sq
+    assert ray_res.mu2_star == direct.mu2_star
+    assert _certified(cls, rho, ray_res, rays.column_values())
+    assert _certified(cls, rho, direct, oracles.bfs_vertices(*oracles.class_polytope_rows(cls.p)))
 
 
 def test_projection_deterministic(sym3, sym3_rays):
@@ -248,3 +273,36 @@ def test_ray_and_direct_mode_agree(case):
         rows = [list(r) for r in amap.entries] + [[F(1)] * rays.n_rays]
         assert verify_farkas(rows, list(mu2.values) + [F(1)], ray_fit.certificate)
         assert verify_farkas(*_direct_rows(cls, mu2), direct.certificate)
+
+
+@st.composite
+def _class_and_rho(draw):
+    """A class with m <= 4 and a correlation target in tenths."""
+    m = draw(st.integers(2, 4))
+    cls = FrechetClass(draw(st.lists(MARGINS, min_size=m, max_size=m)))
+    tenths = st.integers(-10, 10).map(lambda k: F(k, 10))
+    rho = draw(st.lists(tenths, min_size=m * (m - 1) // 2, max_size=m * (m - 1) // 2))
+    return cls, CorrelationSpec(m, rho)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_class_and_rho())
+def test_ray_and_direct_projections_agree(case):
+    cls, rho = case
+    rays = margin_rays(cls)
+    ray_res = nearest_feasible_correlation(cls, rho, rays=rays)
+    direct = nearest_feasible_correlation(cls, rho, mode="direct")
+    assert ray_res.status == direct.status
+    assert ray_res.distance_sq == direct.distance_sq
+    # the class vertices by basis inspection take ~2 s per m=4 class; there
+    # the ray columns stand in, which criterion 7 equates with them
+    if cls.m <= 3:
+        vertices = oracles.bfs_vertices(*oracles.class_polytope_rows(cls.p))
+    else:
+        vertices = rays.column_values()
+    for res, points in ((ray_res, rays.column_values()), (direct, vertices)):
+        assert pair_moments_of(res.density).values == res.mu2_star.values
+        assert tuple(margins_of(res.density)) == cls.p
+        if res.status == "projected":
+            assert res.gap == 0 and res.converged is True
+            assert _certified(cls, rho, res, points)
