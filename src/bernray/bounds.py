@@ -10,23 +10,13 @@ For two margins the pointwise extremal CDFs max(F_1 + F_2 - 1, 0) and
 min(F_1, F_2) also pin the two extreme densities, and with them the
 interaction-coefficient and correlation ranges, split by whether q_1 + q_2
 exceeds 1.
-
-Also here: the attainable range of each margin when all pair moments are
-prescribed instead (the transposed problem over the pair-moment cone).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cone import MomentMap, moment_map, pair_moment_rays
-from .frechet import (
-    Density,
-    FrechetClass,
-    PairMoments,
-    _pair_scale,
-    exact_sqrt,
-)
+from .frechet import Density, FrechetClass, _pair_scale, exact_sqrt
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -136,52 +126,3 @@ def bivariate_summary(cls: FrechetClass) -> BivariateSummary:
         rho_lo=rho_lo,
         rho_hi=rho_hi,
     )
-
-
-def bivariate_mixture(cls: FrechetClass, weight_lower: Fraction) -> Density:
-    """The member lambda f_lower + (1 - lambda) f_upper."""
-    lam = Fraction(weight_lower)
-    if not 0 <= lam <= 1:
-        raise ValueError(f"mixture weight {lam} outside [0, 1]")
-    lower, upper = bivariate_extreme_densities(cls)
-    vals = tuple(lam * a + (1 - lam) * b for a, b in zip(lower.values, upper.values))
-    return Density(2, vals)
-
-
-def bivariate_weight_of(cls: FrechetClass, f: Density) -> Fraction:
-    """Recover the mixture weight of a bivariate member from its mass at the
-    origin; exact, and unique because the two extreme densities differ there."""
-    if f.m != 2:
-        raise ValueError("weight recovery is bivariate only")
-    lower, upper = bivariate_extreme_densities(cls)
-    denom = lower.values[0] - upper.values[0]
-    if denom == 0:
-        raise ArithmeticError("degenerate class: extreme densities coincide at the origin")
-    lam = (f.values[0] - upper.values[0]) / denom
-    if not 0 <= lam <= 1:
-        raise ValueError("density is not a mixture of the two extreme densities")
-    return lam
-
-
-# ---------------------------------------------------------------------------
-# margins attainable under prescribed pair moments
-
-
-@dataclass(frozen=True)
-class MarginBounds:
-    """Attainable range of every P(X_i = 1) across unit-mass vectors with the
-    prescribed pair moments."""
-
-    m: int
-    lo: tuple[Fraction, ...]
-    hi: tuple[Fraction, ...]
-    first_moment_map: MomentMap
-
-
-def margin_bounds_given_mu2(m: int, mu2: PairMoments) -> MarginBounds:
-    """Row min/max of the first-order moment map over the pair-moment cone
-    rays. Raises EmptyConeError when the prescription admits no mass at all."""
-    amap = moment_map(pair_moment_rays(m, mu2), 1)
-    lo = tuple(min(row) for row in amap.entries)
-    hi = tuple(max(row) for row in amap.entries)
-    return MarginBounds(m, lo, hi, amap)

@@ -1,6 +1,6 @@
 """Command line front end.
 
-Subcommands:
+Commands:
 {commands}
 Reports are JSON on stdout (or --output, written atomically); --csv adds the
 delimited export where one is defined (rays: one ray per column; sample: one
@@ -25,7 +25,6 @@ from .report import (
     MAX_PRECISION,
     ProblemSpec,
     SpecError,
-    exact_text,
     order_note,
     parse_density_payload,
     parse_problem_spec,
@@ -46,6 +45,7 @@ from .solvers import (
     minimize_higher_moments,
     nearest_feasible_correlation,
 )
+from .tensor import exact_text
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -123,7 +123,7 @@ def _certificate_payload(fit: FitResult, rows_note: str) -> dict:
 def _rays(args, spec: ProblemSpec, cls, report: dict) -> int:
     rays = margin_rays(cls)
     report["status"] = "ok"
-    report["kind"] = rays.kind
+    report["kind"] = "margins"
     report["ray_count"] = rays.n_rays
     cells: dict = {}  # shared, so each distinct (entry, total) renders once
     report["rays"] = [
@@ -278,6 +278,7 @@ COMMANDS = {
     "theta": Command("interaction coefficients of a given density", _theta, density=True),
 }
 CSV_COMMANDS = " and ".join(name for name, command in COMMANDS.items() if command.csv)
+DENSITY_COMMANDS = " and ".join(name for name, command in COMMANDS.items() if command.density)
 
 __doc__ = (__doc__ or "").format(  # no docstring under python -OO
     commands="".join(f"  {name:9}{command.help}\n" for name, command in COMMANDS.items())
@@ -285,26 +286,28 @@ __doc__ = (__doc__ or "").format(  # no docstring under python -OO
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="bernray", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
-        p.add_argument("--input", required=True, help="problem spec JSON file")
-        p.add_argument("--output", help="write the report here instead of stdout")
-        p.add_argument("--csv", help=f"delimited export ({CSV_COMMANDS} only)")
-        p.add_argument("--mode", choices=["rays", "direct"], help="override options.mode")
-        p.add_argument("--paper-order", action="store_true",
-                       help="emit support-indexed vectors in complemented order")
-        p.add_argument("--seed", type=int, help="override options.seed")
-        p.add_argument("--n", type=int, help="override options.n")
-        p.add_argument("--precision", type=int, default=DEFAULT_PRECISION,
-                       help=f"significant digits of decimal renderings (1..{MAX_PRECISION})")
-        if command.density:
-            p.add_argument("--density", help="density JSON (a fit report works)")
+    parser = _Parser(prog="bernray", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("command", choices=list(COMMANDS), help="what to compute (listed above)")
+    parser.add_argument("--input", required=True, help="problem spec JSON file")
+    parser.add_argument("--output", help="write the report here instead of stdout")
+    parser.add_argument("--csv", help=f"delimited export ({CSV_COMMANDS} only)")
+    parser.add_argument("--mode", choices=["rays", "direct"], help="override options.mode")
+    parser.add_argument("--paper-order", action="store_true",
+                        help="emit support-indexed vectors in complemented order")
+    parser.add_argument("--seed", type=int, help="override options.seed")
+    parser.add_argument("--n", type=int, help="override options.n")
+    parser.add_argument("--precision", type=int, default=DEFAULT_PRECISION,
+                        help=f"significant digits of decimal renderings (1..{MAX_PRECISION})")
+    parser.add_argument("--density",
+                        help=f"density JSON, a fit report works ({DENSITY_COMMANDS} only)")
     return parser
 
 
 def run(args) -> tuple[dict, int]:
+    command = COMMANDS[args.command]
+    if args.density is not None and not command.density:
+        raise SpecError(f"--density: read by {DENSITY_COMMANDS} only")
     spec = parse_problem_spec(_load_json(args.input))
     if args.mode:
         spec.mode = args.mode
@@ -319,7 +322,6 @@ def run(args) -> tuple[dict, int]:
     precision = args.precision
     if not 1 <= precision <= MAX_PRECISION:
         raise SpecError(f"--precision: must be in 1..{MAX_PRECISION}")
-    command = COMMANDS[args.command]
     if args.csv and not command.csv:
         raise SpecError(f"--csv: delimited export is defined for {CSV_COMMANDS} only")
 

@@ -1,11 +1,9 @@
-"""Extreme rays of margin-constrained Bernoulli cones.
+"""Extreme rays of the margin cone of a Bernoulli class.
 
 A class with margins p defines the cone {f >= 0 : H f = 0}, where row i of H
 vanishes exactly on the vectors whose normalized i-th margin is p_i. Its
 extreme rays, normalized to unit mass, are finitely many densities; every
-member of the class is a convex combination of them. The same machinery with
-pair-product rows characterizes the vectors with prescribed second-order
-moments instead of margins.
+member of the class is a convex combination of them.
 
 Enumeration is the double description method run over exact integers:
 start from the nonnegative orthant (unit rays), insert the hyperplanes one at
@@ -15,8 +13,7 @@ every ray to its primitive integer representative. No floats anywhere.
 
 The rays stay in that form: a primitive integer vector and its total, the
 density being vector / total. Sorting, moment maps and mixtures work on the
-integers; a Fraction is made once per moment entry, and Density objects only
-for the few columns a caller asks for.
+integers; a Fraction is made once per moment entry.
 """
 from __future__ import annotations
 
@@ -26,7 +23,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from .frechet import Density, FrechetClass, PairMoments
+from .frechet import FrechetClass
 
 #: Largest m for ray enumeration: m=6 already has 707,264 rays.
 DIMENSION_CAP = 6
@@ -36,26 +33,14 @@ class DimensionCapError(ValueError):
     """Ray enumeration refused because m exceeds the configured cap."""
 
 
-class EmptyConeError(ValueError):
-    """The constraint cone contains no nonzero nonnegative vector."""
-
-
 @dataclass(frozen=True)
 class ConstraintMatrix:
-    """Homogeneous equality constraints over the canonical support order.
-
-    kind "margins": one row per coordinate, entry p_i at points with x_i = 0
-    and -q_i at points with x_i = 1 (the odds form gamma_i (1 - x_i) - x_i
-    scaled by q_i, so each row is that form times a positive scalar).
-
-    kind "pair-moments": one row per pair (i, j), entry mu_ij at points with
-    x_i x_j = 0 and -(1 - mu_ij) at points with x_i x_j = 1. The boundary
-    values mu_ij = 0 and mu_ij = 1 degenerate to the direct constraints
-    "no mass where x_i x_j = 1" and "no mass where x_i x_j = 0".
-    """
+    """Homogeneous margin constraints over the canonical support order: one
+    row per coordinate, entry p_i at points with x_i = 0 and -q_i at points
+    with x_i = 1 (the odds form gamma_i (1 - x_i) - x_i scaled by q_i, so
+    each row is that form times a positive scalar)."""
 
     m: int
-    kind: str
     rows: tuple[tuple[Fraction, ...], ...]
 
 
@@ -67,19 +52,7 @@ def build_h(cls: FrechetClass) -> ConstraintMatrix:
     for i in range(m):
         p_i = cls.p[i]
         rows.append(tuple(p_i - ((j >> i) & 1) for j in range(1 << m)))
-    return ConstraintMatrix(m, "margins", tuple(rows))
-
-
-def build_h2(m: int, mu2: PairMoments) -> ConstraintMatrix:
-    """Pair-moment constraints. At support point x, the row for (i, j) equals
-    mu_ij - x_i x_j; mu values must lie in [0, 1]."""
-    if mu2.m != m:
-        raise ValueError("pair-moment dimension does not match m")
-    rows = []
-    for (i, j), mu in zip(itertools.combinations(range(m), 2), mu2.values):
-        mask = (1 << i) | (1 << j)
-        rows.append(tuple(mu - (1 if (k & mask) == mask else 0) for k in range(1 << m)))
-    return ConstraintMatrix(m, "pair-moments", tuple(rows))
+    return ConstraintMatrix(m, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -88,21 +61,16 @@ class RayMatrix:
 
     Column k is the density vectors[k] / totals[k], where totals[k] =
     sum(vectors[k]) > 0 and every entry is >= 0. Columns are sorted
-    lexicographically by those density values. `columns` and
-    `column_values()` derive the Density view on demand."""
+    lexicographically by those density values; `column_values()` derives
+    the exact densities on demand."""
 
     m: int
-    kind: str
     vectors: tuple[tuple[int, ...], ...]
     totals: tuple[int, ...]
 
     @property
     def n_rays(self) -> int:
         return len(self.vectors)
-
-    @property
-    def columns(self) -> tuple[Density, ...]:
-        return tuple(Density(self.m, values) for values in self.column_values())
 
     def column_values(self) -> list[tuple[Fraction, ...]]:
         return [
@@ -114,11 +82,11 @@ class RayMatrix:
 @dataclass(frozen=True)
 class MomentMap:
     """Selected raw moments of every ray: rows are interaction subsets of one
-    order, columns follow the ray matrix that produced the map."""
+    order in lexicographic order, columns follow the ray matrix that produced
+    the map."""
 
     m: int
     order: int
-    labels: tuple[tuple[int, ...], ...]
     entries: tuple[tuple[Fraction, ...], ...]
     rays: RayMatrix
 
@@ -265,9 +233,7 @@ def extreme_rays(matrix: ConstraintMatrix) -> RayMatrix:
     scale = lcm(*totals)
     keys = [tuple(v * f for v in vec) for vec, f in zip(vectors, [scale // t for t in totals])]
     order = sorted(range(len(vectors)), key=keys.__getitem__)
-    return RayMatrix(
-        matrix.m, matrix.kind, tuple(vectors[k] for k in order), tuple(totals[k] for k in order)
-    )
+    return RayMatrix(matrix.m, tuple(vectors[k] for k in order), tuple(totals[k] for k in order))
 
 
 def moment_rows(
@@ -294,25 +260,10 @@ def moment_map(rays: RayMatrix, order: int) -> MomentMap:
     """Raw moments of the given interaction order for every ray column."""
     if order < 1:
         raise ValueError(f"moment order {order} is below 1")
-    labels = tuple(
-        tuple(c + 1 for c in subset)
-        for subset in itertools.combinations(range(rays.m), order)
-    )
     entries = tuple(moment_rows(rays.m, rays.vectors, rays.totals, order))
-    return MomentMap(rays.m, order, labels, entries, rays)
+    return MomentMap(rays.m, order, entries, rays)
 
 
 def margin_rays(cls: FrechetClass) -> RayMatrix:
     """Extreme ray densities of the class itself."""
     return extreme_rays(build_h(cls))
-
-
-def pair_moment_rays(m: int, mu2: PairMoments) -> RayMatrix:
-    """Extreme ray densities of the cone with prescribed pair moments.
-
-    Raises EmptyConeError when only the origin satisfies the constraints,
-    which happens for genuinely incompatible mu2 prescriptions."""
-    rays = extreme_rays(build_h2(m, mu2))
-    if rays.n_rays == 0:
-        raise EmptyConeError(f"no nonzero f >= 0 attains the pair moments {mu2.values}")
-    return rays

@@ -31,6 +31,7 @@ from .tensor import (
     RationalLike,
     Stencil,
     as_fraction,
+    exact_text,
     kron_apply,
 )
 
@@ -66,11 +67,6 @@ def pair_list(m: int) -> list[tuple[int, int]]:
     return [(i + 1, j + 1) for i, j in itertools.combinations(range(m), 2)]
 
 
-def subset_list(m: int, order: int) -> list[tuple[int, ...]]:
-    """Coordinate subsets of the given size, 1-based, lexicographic."""
-    return [tuple(c + 1 for c in comb) for comb in itertools.combinations(range(m), order)]
-
-
 @dataclass(frozen=True)
 class FrechetClass:
     """The set of m-variate Bernoulli distributions with margins p_1..p_m."""
@@ -83,7 +79,7 @@ class FrechetClass:
             raise ValueError("a class needs at least one margin")
         for i, v in enumerate(vals):
             if not 0 < v < 1:
-                raise ValueError(f"margin p[{i}] = {v} is outside (0, 1)")
+                raise ValueError(f"margin p[{i}] = {exact_text(v)} is outside (0, 1)")
         object.__setattr__(self, "p", vals)
 
     @property
@@ -93,10 +89,6 @@ class FrechetClass:
     @property
     def q(self) -> tuple[Fraction, ...]:
         return tuple(1 - v for v in self.p)
-
-    @property
-    def odds(self) -> tuple[Fraction, ...]:
-        return tuple(v / (1 - v) for v in self.p)
 
     def pairs(self) -> list[tuple[int, int]]:
         return pair_list(self.m)
@@ -122,7 +114,7 @@ class Density:
             raise ValueError(f"density has negative entries at indices {neg}")
         total = sum(vals)
         if total != 1:
-            raise ValueError(f"density sums to {total}, not exactly 1")
+            raise ValueError(f"density sums to {exact_text(total)}, not exactly 1")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "values", vals)
 
@@ -194,7 +186,9 @@ class PairMoments:
             c = _clamp_interval(v, ZERO, ONE)
             if c is None:
                 if checked:
-                    raise ValueError(f"moment for pair ({i},{j}) is {v}, outside [0, 1]")
+                    raise ValueError(
+                        f"moment for pair ({i},{j}) is {exact_text(v)}, outside [0, 1]"
+                    )
                 c = v
             vals.append(c)
         object.__setattr__(self, "m", m)
@@ -213,7 +207,9 @@ class CorrelationSpec:
         for (i, j), raw in zip(pair_list(m), _exact_entries(m, values)):
             v = _clamp_unit(raw)
             if v is None:
-                raise ValueError(f"correlation for pair ({i},{j}) is {raw}, outside [-1, 1]")
+                raise ValueError(
+                    f"correlation for pair ({i},{j}) is {exact_text(raw)}, outside [-1, 1]"
+                )
             vals.append(v)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "values", tuple(vals))

@@ -29,7 +29,7 @@ from typing import Any, Sequence
 
 from .cone import DimensionCapError
 from .frechet import CorrelationSpec, Density, FrechetClass, PairMoments
-from .tensor import SUPPORT_CAP, parse_rational
+from .tensor import SUPPORT_CAP, exact_text, parse_rational
 
 DEFAULT_PRECISION = 12
 #: Largest --precision. Every decimal field is rendered to that many digits,
@@ -176,29 +176,6 @@ def parse_density_payload(obj: Any, m: int) -> Density:
 
 # ---------------------------------------------------------------------------
 # rendering
-
-
-#: An integer under 2^_STR_BITS has under 640 digits, the least int-to-str
-#: limit Python accepts, so str() never refuses it.
-_STR_BITS = 2000
-
-
-def _int_text(n: int) -> str:
-    """str(n), splitting at a power of ten until every part converts under
-    Python's int-to-str digit limit."""
-    if n.bit_length() <= _STR_BITS:
-        return str(n)
-    if n < 0:
-        return "-" + _int_text(-n)
-    half = n.bit_length() * 3 // 20  # about half the digits
-    high, low = divmod(n, 10**half)
-    return _int_text(high) + _int_text(low).zfill(half)
-
-
-def exact_text(x: Fraction | int) -> str:
-    """str(x) of an exact rational, at any size."""
-    n, d = x.numerator, x.denominator
-    return _int_text(n) if d == 1 else f"{_int_text(n)}/{_int_text(d)}"
 
 
 def render_decimal(x: Fraction, precision: int = DEFAULT_PRECISION) -> str:

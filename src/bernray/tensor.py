@@ -1,5 +1,5 @@
-"""Exact rational scalars, Kronecker-structured 2x2 stencils, and the
-canonical ordering of the binary support {0,1}^m.
+"""Exact rational scalars and their text at any size, Kronecker-structured
+2x2 stencils, and the canonical ordering of the binary support {0,1}^m.
 
 Everything here is exact. Scalars are fractions.Fraction throughout; no floats
 enter or leave this module.
@@ -53,6 +53,29 @@ def as_fraction(x: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {type(x).__name__} as an exact rational")
 
 
+#: An integer under 2^_STR_BITS has under 640 digits, the least int-to-str
+#: limit Python accepts, so str() never refuses it.
+_STR_BITS = 2000
+
+
+def _int_text(n: int) -> str:
+    """str(n), splitting at a power of ten until every part converts under
+    Python's int-to-str digit limit."""
+    if n.bit_length() <= _STR_BITS:
+        return str(n)
+    if n < 0:
+        return "-" + _int_text(-n)
+    half = n.bit_length() * 3 // 20  # about half the digits
+    high, low = divmod(n, 10**half)
+    return _int_text(high) + _int_text(low).zfill(half)
+
+
+def exact_text(x: Fraction | int) -> str:
+    """str(x) of an exact rational, at any size."""
+    n, d = x.numerator, x.denominator
+    return _int_text(n) if d == 1 else f"{_int_text(n)}/{_int_text(d)}"
+
+
 Stencil = tuple[RationalLike, RationalLike, RationalLike, RationalLike]
 
 
@@ -79,23 +102,6 @@ def kron_apply(factors: Sequence[Stencil], vec: Sequence[RationalLike]) -> tuple
                 v[j] = a * lo + b * hi
                 v[j + step] = c * lo + d * hi
     return tuple(v)
-
-
-def enumerate_support(m: int) -> list[tuple[int, ...]]:
-    """All points of {0,1}^m in canonical ascending-index order."""
-    if not 1 <= m <= SUPPORT_CAP:
-        raise ValueError(f"m must be in 1..{SUPPORT_CAP}, got {m}")
-    return [tuple((j >> i) & 1 for i in range(m)) for j in range(1 << m)]
-
-
-def support_index(x: Sequence[int]) -> int:
-    """Inverse of enumerate_support: index of a point."""
-    j = 0
-    for i, bit in enumerate(x):
-        if bit not in (0, 1):
-            raise ValueError(f"support points are 0/1 vectors, got {x!r}")
-        j |= bit << i
-    return j
 
 
 # First differences along one margin, their inverse running sums, and the

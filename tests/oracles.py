@@ -7,6 +7,10 @@ certified by a vertex scan, moments by direct summation over support points, pai
 rays, and Kronecker products formed densely. The one exception is
 normalised_rays, which reuses the library's double description and checks
 only what follows it: normalisation to densities and the column order.
+
+build_h2 is an input, not an oracle: the pair-moment cone, a second family
+of constraint matrices for checking the double description against the
+vertex oracle beyond margin rows.
 """
 from __future__ import annotations
 
@@ -126,6 +130,21 @@ def pair_polytope_rows(m, mu2):
     rows.append([ONE] * n)
     rhs.append(ONE)
     return rows, rhs
+
+
+def build_h2(m, mu2):
+    """Pair-moment constraints as a ConstraintMatrix: at support point x, the
+    row for (i, j) equals mu_ij - x_i x_j. Each row is mu_ij at points with
+    x_i x_j = 0 and -(1 - mu_ij) at points with x_i x_j = 1; the boundary
+    values mu_ij = 0 and mu_ij = 1 degenerate to "no mass where x_i x_j = 1"
+    and "no mass where x_i x_j = 0"."""
+    from bernray import ConstraintMatrix
+
+    rows = []
+    for (i, j), mu in zip(itertools.combinations(range(m), 2), mu2):
+        mask = (1 << i) | (1 << j)
+        rows.append(tuple(Fraction(mu) - (1 if (k & mask) == mask else 0) for k in range(1 << m)))
+    return ConstraintMatrix(m, tuple(rows))
 
 
 def direct_margins(values):

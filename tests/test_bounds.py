@@ -1,20 +1,15 @@
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
 from bernray import (
     FrechetClass,
-    PairMoments,
     bivariate_extreme_densities,
-    bivariate_mixture,
     bivariate_summary,
-    bivariate_weight_of,
     exact_sqrt,
-    margin_bounds_given_mu2,
     margin_rays,
     pair_bounds,
 )
@@ -120,57 +115,3 @@ def test_pair_bounds_closed_form_equals_ray_route(p):
     assert pb.pairs == tuple(cls.pairs())
     got = (pb.moment_lo, pb.moment_hi, pb.rho_lo, pb.rho_hi)
     assert tuple(map(list, got)) == _ray_route(cls)
-
-
-def test_mixture_weight_round_trip():
-    rng = random.Random(71)
-    for _ in range(20):
-        cls = random_class(rng, 2)
-        lam = F(rng.randint(0, 10), 10)
-        f = bivariate_mixture(cls, lam)
-        assert bivariate_weight_of(cls, f) == lam
-
-
-def test_mixture_weight_symmetric_independence_is_midpoint():
-    # for p = (1/2, 1/2) the mixture segment passes through independence
-    cls = FrechetClass([HALF, HALF])
-    from bernray import Density
-
-    assert bivariate_weight_of(cls, Density(2, [F(1, 4)] * 4)) == HALF
-
-
-def test_mixture_weight_rejects_out_of_segment_origin_mass():
-    cls = FrechetClass([HALF, HALF])
-    from bernray import Density
-
-    with pytest.raises(ValueError):
-        bivariate_weight_of(cls, Density(2, [F(9, 10), F(0), F(0), F(1, 10)]))
-
-
-def test_margin_bounds_given_mu2_m2():
-    mb = margin_bounds_given_mu2(2, PairMoments(2, [F(1, 4)]))
-    assert mb.lo == (F(1, 4), F(1, 4))
-    assert mb.hi == (F(1), F(1))
-    z = margin_bounds_given_mu2(2, PairMoments(2, [F(0)]))
-    assert z.lo == (F(0), F(0))
-    assert z.hi == (F(1), F(1))
-    o = margin_bounds_given_mu2(2, PairMoments(2, [F(1)]))
-    assert o.lo == (F(1), F(1))
-    assert o.hi == (F(1), F(1))
-
-
-def test_margin_bounds_cover_direct_constructions():
-    # any explicit density with the target pair moments must have margins
-    # inside the reported range
-    rng = random.Random(73)
-    for _ in range(10):
-        m = rng.choice([2, 3])
-        weights = [F(rng.randint(0, 3)) for _ in range(1 << m)]
-        weights[rng.randrange(1 << m)] += 1
-        total = sum(weights)
-        f = [w / total for w in weights]
-        mu2 = PairMoments(m, oracles.direct_pair_moments(f))
-        mb = margin_bounds_given_mu2(m, mu2)
-        margins = oracles.direct_margins(f)
-        for i in range(m):
-            assert mb.lo[i] <= margins[i] <= mb.hi[i]

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import tempfile
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bernray import FrechetClass, margin_rays, moment_map, verify_farkas
-from bernray.cli import main
+from bernray.cli import COMMANDS as CLI_COMMANDS, main
 
 F = Fraction
 
@@ -301,11 +302,76 @@ def test_fields_past_the_digit_limit_render(tmp_path, capsys, command):
         assert len(rep["distance"]["squared_exact"]) > 4300
 
 
+# a value past the digit limit in a validation message: the message still
+# names the field and its range, and spells the value out in full
+@pytest.mark.parametrize(
+    "command, payload, head, tail",
+    [
+        pytest.param(
+            "bounds", {"m": 2, "p": ["-1234567e-4300", "1/2"]},
+            "p: margin p[0] = -1234567/1" + "0" * 4300, " is outside (0, 1)", id="margin",
+        ),
+        pytest.param(
+            "nearest", {"m": 2, "p": ["1e-4000", "1/2"], "mu2": ["9/10"]},
+            "mu2: implied correlation for pair (1,2) is ", ", outside [-1, 1]", id="correlation",
+        ),
+        pytest.param(
+            "theta", {"m": 1, "p": ["1/2"], "density": ["1e-4300", "1/2"]},
+            "density: density sums to 5" + "0" * 4298 + "1/1" + "0" * 4300, ", not exactly 1",
+            id="density-sum",
+        ),
+    ],
+)
+def test_validation_messages_past_the_digit_limit(tmp_path, capsys, command, payload, head, tail):
+    spec = write_spec(tmp_path, payload)
+    code, rep = run_cli(tmp_path, [command, "--input", spec])
+    assert code == 3
+    assert rep is None
+    (line,) = capsys.readouterr().err.splitlines()
+    head = "bernray: invalid input: " + head
+    assert line.startswith(head) and line.endswith(tail)
+    assert re.fullmatch(r"(-?\d{4300,}/\d+)?", line[len(head):len(line) - len(tail)])
+
+
 def test_csv_rejected_outside_rays_sample(tmp_path):
     spec = write_spec(tmp_path, {**SYM3_SPEC, **RHO_OK})
     code = main(["fit", "--input", spec, "--output", str(tmp_path / "x.json"),
                  "--csv", str(tmp_path / "no.csv")])
     assert code == 3
+
+
+@pytest.mark.parametrize("command", ["rays", "bounds", "fit", "nearest", "minimize", "sample"])
+def test_density_rejected_outside_theta(tmp_path, capsys, command):
+    spec = write_spec(tmp_path, {**SYM3_SPEC, **RHO_OK})
+    code, rep = run_cli(tmp_path, [command, "--input", spec, "--density", spec, "--n", "5"])
+    assert code == 3
+    assert rep is None
+    assert capsys.readouterr().err.splitlines() == [
+        "bernray: invalid input: --density: read by theta only"
+    ]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["fit", "--help"]])
+def test_help_lists_every_command(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: bernray [-h] --input INPUT")
+    assert "{rays,bounds,fit,nearest,minimize,sample,theta}" in out
+    for name, command in CLI_COMMANDS.items():
+        assert f"\n  {name:9}{command.help}\n" in out
+    for flag in ["--input", "--output", "--csv", "--mode", "--paper-order", "--seed", "--n",
+                 "--precision", "--density"]:
+        assert f"  {flag} " in out
+
+
+def test_unknown_command_exits_3(tmp_path, capsys):
+    spec = write_spec(tmp_path, SYM3_SPEC)
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--input", spec])
+    assert exc.value.code == 3
+    assert "bernray: error: argument command: invalid choice: 'solve'" in capsys.readouterr().err
 
 
 def test_missing_input_exits_3(tmp_path):

@@ -9,15 +9,11 @@ from hypothesis import strategies as st
 import oracles
 from bernray import (
     DimensionCapError,
-    EmptyConeError,
     FrechetClass,
-    PairMoments,
     build_h,
-    build_h2,
     extreme_rays,
     margin_rays,
     moment_map,
-    pair_moment_rays,
 )
 from bernray.cone import _int_rank
 from conftest import MARGINS, random_class
@@ -28,19 +24,18 @@ HALF = Fraction(1, 2)
 def test_build_h_entries():
     cls = FrechetClass([Fraction(1, 4), Fraction(2, 3)])
     h = build_h(cls)
-    assert h.kind == "margins"
     # row i at support point x is p_i - x_i
     assert h.rows[0] == (Fraction(1, 4), Fraction(-3, 4), Fraction(1, 4), Fraction(-3, 4))
     assert h.rows[1] == (Fraction(2, 3), Fraction(2, 3), Fraction(-1, 3), Fraction(-1, 3))
 
 
 def test_build_h2_entries_and_boundaries():
-    h2 = build_h2(2, PairMoments(2, [Fraction(1, 3)]))
+    h2 = oracles.build_h2(2, [Fraction(1, 3)])
     assert h2.rows[0] == (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3), Fraction(-2, 3))
     # boundary values are allowed and give one-sided rows
-    z = build_h2(2, PairMoments(2, [Fraction(0)]))
+    z = oracles.build_h2(2, [Fraction(0)])
     assert z.rows[0] == (0, 0, 0, -1)
-    o = build_h2(2, PairMoments(2, [Fraction(1)]))
+    o = oracles.build_h2(2, [Fraction(1)])
     assert o.rows[0] == (1, 1, 1, 0)
 
 
@@ -128,6 +123,7 @@ def test_extreme_rays_match_normalise_and_sort_reference_m5(p):
 
 
 def test_pair_moment_rays_match_oracle():
+    # the double description on the pair-moment cone, a second family of rows
     rng = random.Random(31)
     for _ in range(6):
         m = rng.choice([2, 3])
@@ -137,16 +133,16 @@ def test_pair_moment_rays_match_oracle():
         weights[rng.randrange(1 << m)] += 1
         total = sum(weights)
         f = [w / total for w in weights]
-        mu2 = PairMoments(m, oracles.direct_pair_moments(f))
-        rays = pair_moment_rays(m, mu2)
-        rows, rhs = oracles.pair_polytope_rows(m, mu2.values)
+        mu2 = oracles.direct_pair_moments(f)
+        rays = extreme_rays(oracles.build_h2(m, mu2))
+        rows, rhs = oracles.pair_polytope_rows(m, mu2)
         assert {tuple(c) for c in rays.column_values()} == oracles.bfs_vertices(rows, rhs)
 
 
 def test_pair_moment_rays_empty_cone():
     # mu_12 = mu_13 = 1 forces both pairs always on, contradicting mu_23 = 0
-    with pytest.raises(EmptyConeError):
-        pair_moment_rays(3, PairMoments(3, [Fraction(1), Fraction(1), Fraction(0)]))
+    h2 = oracles.build_h2(3, [Fraction(1), Fraction(1), Fraction(0)])
+    assert extreme_rays(h2).n_rays == 0
 
 
 def test_moment_map_order2_is_pair_sums():
@@ -156,7 +152,7 @@ def test_moment_map_order2_is_pair_sums():
     cols = rays.column_values()
     for r in range(rays.n_rays):
         expect = oracles.direct_pair_moments(list(cols[r]))
-        got = [amap.entries[k][r] for k in range(len(amap.labels))]
+        got = [row[r] for row in amap.entries]
         assert got == expect
 
 

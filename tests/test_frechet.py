@@ -21,7 +21,7 @@ from bernray import (
     rho_from_mu2,
     theta_from_density,
 )
-from bernray.frechet import exact_sqrt, pair_list, subset_list
+from bernray.frechet import exact_sqrt, pair_list
 
 HALF = Fraction(1, 2)
 
@@ -46,9 +46,6 @@ def test_density_must_sum_to_one():
 
 def test_pair_and_subset_lists():
     assert pair_list(3) == [(1, 2), (1, 3), (2, 3)]
-    assert subset_list(3, 2) == [(1, 2), (1, 3), (2, 3)]
-    assert subset_list(3, 0) == [()]
-    assert subset_list(4, 3) == [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
 
 
 def test_independence_density_theta_is_delta():

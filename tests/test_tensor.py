@@ -4,13 +4,8 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from bernray.tensor import (
-    DIFF_2,
-    enumerate_support,
-    kron_apply,
-    parse_rational,
-    support_index,
-)
+from bernray.report import support_labels
+from bernray.tensor import DIFF_2, kron_apply, parse_rational
 
 
 def test_parse_rational_forms():
@@ -79,15 +74,12 @@ def test_kron_apply_rejects_non_2x2_factor():
 
 
 def test_support_order_and_index():
-    pts = enumerate_support(3)
-    assert pts[0] == (0, 0, 0)
-    assert pts[1] == (1, 0, 0)  # coordinate 1 toggles fastest
-    assert pts[2] == (0, 1, 0)
-    assert pts[7] == (1, 1, 1)
+    pts = support_labels(3, paper_order=False)
+    assert pts[0] == "000"
+    assert pts[1] == "100"  # coordinate 1 toggles fastest
+    assert pts[2] == "010"
+    assert pts[7] == "111"
+    # label k spells index k with x_i = bit (i-1) of k
     for j, x in enumerate(pts):
-        assert support_index(x) == j
-
-
-def test_enumerate_support_cap():
-    with pytest.raises(ValueError):
-        enumerate_support(40)
+        assert sum(int(bit) << i for i, bit in enumerate(x)) == j
+    assert support_labels(3, paper_order=True) == pts[::-1]
