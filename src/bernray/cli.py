@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import Callable, NamedTuple
@@ -25,6 +26,7 @@ from .report import (
     MAX_PRECISION,
     ProblemSpec,
     SpecError,
+    json_text,
     order_note,
     parse_density_payload,
     parse_problem_spec,
@@ -130,7 +132,7 @@ def _rays(args, spec: ProblemSpec, cls, report: dict) -> int:
         vector_field(reorder_support(vec, args.paper_order), args.precision, total, cells)
         for vec, total in zip(rays.vectors, rays.totals)
     ]
-    if args.csv:
+    if args.csv is not None:
         text = rays_csv_text(rays.vectors, rays.totals, spec.m, args.paper_order)
         _save(_write_atomic, text, args.csv)
         report["csv_path"] = args.csv
@@ -231,14 +233,14 @@ def _sample(args, spec: ProblemSpec, cls, report: dict) -> int:
         "empirical_order1": vector_field(empirical_moments(batch, 1), args.precision),
         "empirical_order2": vector_field(empirical_moments(batch, 2), args.precision),
     }
-    if args.csv:
+    if args.csv is not None:
         _save(_write_atomic, sample_csv_text(batch), args.csv)
         report["sample"]["csv_path"] = args.csv
     return EXIT_OK
 
 
 def _theta(args, spec: ProblemSpec, cls, report: dict) -> int:
-    payload = _load_json(args.density) if args.density else spec.density
+    payload = _load_json(args.density) if args.density is not None else spec.density
     if payload is None:
         raise SpecError("density: give --density or a density field in the spec")
     f = parse_density_payload(payload, spec.m)
@@ -306,6 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(args) -> tuple[dict, int]:
     command = COMMANDS[args.command]
+    for flag in ("input", "output", "csv", "density"):
+        if getattr(args, flag) == "":
+            raise SpecError(f"--{flag}: empty path")
     if args.density is not None and not command.density:
         raise SpecError(f"--density: read by {DENSITY_COMMANDS} only")
     spec = parse_problem_spec(_load_json(args.input))
@@ -322,7 +327,7 @@ def run(args) -> tuple[dict, int]:
     precision = args.precision
     if not 1 <= precision <= MAX_PRECISION:
         raise SpecError(f"--precision: must be in 1..{MAX_PRECISION}")
-    if args.csv and not command.csv:
+    if args.csv is not None and not command.csv:
         raise SpecError(f"--csv: delimited export is defined for {CSV_COMMANDS} only")
 
     cls = spec.frechet_class()
@@ -347,7 +352,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report, code = run(args)
-        if args.output:
+        if args.output is not None:
             _save(write_json_atomic, report, args.output)
     except SpecError as exc:
         print(f"bernray: invalid input: {exc}", file=sys.stderr)
@@ -355,9 +360,15 @@ def main(argv=None) -> int:
     except DimensionCapError as exc:
         print(f"bernray: {exc}", file=sys.stderr)
         return EXIT_CAP
-    if not args.output:
-        json.dump(report, sys.stdout, indent=2)
-        print()
+    if args.output is None:
+        try:
+            sys.stdout.write(json_text(report) + "\n")
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader has gone (`| head`): point stdout at devnull so the
+            # flush at exit cannot fail again, and end with the command's code
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
     return code
 
 

@@ -12,12 +12,23 @@ decide adjacency by an exact rank test on the tight constraints, and gcd-reduce
 every ray to its primitive integer representative. No floats anywhere.
 
 The rays stay in that form: a primitive integer vector and its total, the
-density being vector / total. Sorting, moment maps and mixtures work on the
-integers; a Fraction is made once per moment entry.
+density being vector / total. Sorting (on one packed integer key per ray),
+moment maps and mixtures work on the integers; a Fraction is made once per
+moment entry.
+
+After t rows, two rays can be adjacent only if their supports have a union of
+at most t + 2 coordinates, so only pairs sharing enough coordinates are
+candidates. Those pairs are generated, not found by scanning every positive
+ray against every negative one: the negative rays are hashed under the
+subsets of their supports that are just large enough, and each positive ray
+looks up its own (Fukuda & Prodon, "Double description method revisited",
+1996; Terzer & Stelling, 2008). The candidates are exactly the pairs the
+width bound admits, and each still takes the rank test.
 """
 from __future__ import annotations
 
 import itertools
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -104,11 +115,9 @@ def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[tuple[int, ...]]:
 
 
 def _primitive(vec: list[int]) -> tuple[int, ...]:
-    g = 0
-    for v in vec:
-        g = gcd(g, v)
+    g = gcd(*vec)
     if g > 1:
-        return tuple(v // g for v in vec)
+        return tuple([v // g for v in vec])
     return tuple(vec)
 
 
@@ -168,29 +177,19 @@ def _double_description(int_rows: list[tuple[int, ...]], n: int) -> list[tuple[i
                 neg.append(idx)
 
         new_rays: dict[tuple[int, ...], int] = {}
-        max_union = t + 2
-        for ip in pos:
-            sp = supports[ip]
-            vp = values[ip]
-            rp = rays[ip]
-            for ineg in neg:
+        # the rank test below asks for rank width - 2 of t rows
+        for ip, negs in _candidate_pairs(supports, pos, neg, t + 2):
+            sp, rp, vp = supports[ip], rays[ip], values[ip]
+            for ineg in negs:
                 union = sp | supports[ineg]
-                width = union.bit_count()
-                if width > max_union:
-                    continue
-                if t and not _adjacent(processed, union, width):
+                if t and not _adjacent(processed, union, union.bit_count()):
                     continue
                 vn = -values[ineg]
-                rn = rays[ineg]
-                combo = _primitive([vp * b + vn * a for a, b in zip(rp, rn)])
-                if combo not in new_rays:
-                    mask = 0
-                    for k, v in enumerate(combo):
-                        if v:
-                            mask |= 1 << k
-                    new_rays[combo] = mask
+                # both terms are >= 0, so the combination's support is the union
+                combo = _primitive([vp * b + vn * a for a, b in zip(rp, rays[ineg])])
+                new_rays.setdefault(combo, union)
 
-        rays = keep_rays + list(new_rays.keys())
+        rays = keep_rays + list(new_rays)
         supports = keep_sup + list(new_rays.values())
         processed.append(row)
         if not rays:
@@ -198,17 +197,63 @@ def _double_description(int_rows: list[tuple[int, ...]], n: int) -> list[tuple[i
     return rays
 
 
+def _candidate_pairs(supports: list[int], pos: Sequence[int], neg: Sequence[int], width: int):
+    """The pairs (i, j), i in pos and j in neg, whose support masks have a
+    union of at most `width` coordinates. Yields (i, the js in ascending
+    order) for each i with at least one, in the order of pos.
+
+    Supports of sizes a and b fit the width exactly when they share
+    k = a + b - width coordinates or more, that is, some k-subset. Negative
+    supports are grouped by size and hashed under their k-subsets, one index
+    per size and k; each positive support probes with its own k-subsets.
+    k <= 0 admits every pair of those sizes."""
+    groups: dict[int, list[int]] = {}
+    for j in neg:
+        groups.setdefault(supports[j].bit_count(), []).append(j)
+    indexes: dict[tuple[int, int], dict[int, list[int]]] = {}
+    for i in pos:
+        s = supports[i]
+        size = s.bit_count()
+        found: set[int] = set()
+        for other, group in groups.items():
+            k = size + other - width
+            if k <= 0:
+                found.update(group)
+            elif k <= min(size, other):
+                index = indexes.get((other, k))
+                if index is None:
+                    index = indexes[other, k] = {}
+                    for j in group:
+                        for sub in _subsets(supports[j], k):
+                            index.setdefault(sub, []).append(j)
+                for sub in _subsets(s, k):
+                    if sub in index:
+                        found.update(index[sub])
+        if found:
+            yield i, sorted(found)
+
+
+def _subsets(mask: int, k: int):
+    """The k-subsets of a bit mask, as masks."""
+    return map(sum, itertools.combinations(_bits(mask), k))
+
+
+def _bits(mask: int) -> list[int]:
+    """The set bits of a mask, lowest first, each as a one-bit mask."""
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low)
+        mask ^= low
+    return bits
+
+
 def _adjacent(processed: list[tuple[int, ...]], union: int, width: int) -> bool:
     # Two extreme rays of the current cone span a 2-face iff the constraints
     # tight at both (processed hyperplanes plus the shared zero coordinates)
     # have rank n - 2; eliminating the unit rows reduces that to the processed
     # rows restricted to the support union having rank (union size) - 2.
-    cols = []
-    u = union
-    while u:
-        low = u & -u
-        cols.append(low.bit_length() - 1)
-        u ^= low
+    cols = [bit.bit_length() - 1 for bit in _bits(union)]
     sub = [[row[c] for c in cols] for row in processed]
     return _int_rank(sub) == width - 2
 
@@ -228,12 +273,28 @@ def extreme_rays(matrix: ConstraintMatrix) -> RayMatrix:
     totals = [sum(vec) for vec in vectors]
     if any(total <= 0 or min(vec) < 0 for vec, total in zip(vectors, totals)):
         raise ArithmeticError("a ray is not a nonnegative vector of positive mass")
-    # vec * (L // total), L the lcm of the totals, is the density vec / total
-    # times L: an integer key that orders columns as their densities do
-    scale = lcm(*totals)
-    keys = [tuple(v * f for v in vec) for vec, f in zip(vectors, [scale // t for t in totals])]
+    keys = _sort_keys(vectors, totals, 1 << matrix.m)
     order = sorted(range(len(vectors)), key=keys.__getitem__)
     return RayMatrix(matrix.m, tuple(vectors[k] for k in order), tuple(totals[k] for k in order))
+
+
+def _sort_keys(vectors: list[tuple[int, ...]], totals: list[int], n: int) -> list[int]:
+    """One integer per ray that orders the rays as their densities order.
+
+    vec * (L // total), L the lcm of the totals, is the density vec / total
+    times L, so its entries are integers of at most L. Packed big-endian into
+    fixed-width fields that hold L, those entries compare as one integer in
+    lexicographic order. Packing vec and then multiplying by L // total gives
+    the same integer, since no field carries."""
+    scale = lcm(*totals)
+    width = (scale.bit_length() + 7) // 8
+    if width <= 8:
+        # the smallest standard struct field of at least `width` bytes
+        layout = struct.Struct(f">{n}{'BHIIQQQQ'[width - 1]}")
+        packed = (layout.pack(*vec) for vec in vectors)
+    else:
+        packed = (b"".join([v.to_bytes(width, "big") for v in vec]) for vec in vectors)
+    return [int.from_bytes(p, "big") * (scale // total) for p, total in zip(packed, totals)]
 
 
 def moment_rows(

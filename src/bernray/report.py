@@ -25,6 +25,7 @@ import tempfile
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any, Sequence
 
 from .cone import DimensionCapError
@@ -238,9 +239,34 @@ def order_note(paper_order: bool) -> str:
 # output
 
 
+def json_text(value: Any, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2), byte for byte, for values built from
+    dicts with string keys, lists, tuples, strings and scalars.
+
+    json's C encoder serves only indent=None, and its pure-Python fallback
+    took longer to write a rays report than rendering the report took; here
+    only containers recurse, strings go through the C escaper and scalars
+    through json."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + json_text(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [
+            encode_basestring_ascii(v) if type(v) is str else json_text(v, inner) for v in value
+        ]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    return json.dumps(value)
+
+
 def write_json_atomic(payload: dict, path: str) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=False) + "\n"
-    _write_atomic(text, path)
+    _write_atomic(json_text(payload) + "\n", path)
 
 
 def _write_atomic(text: str, path: str) -> None:

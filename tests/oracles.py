@@ -7,6 +7,9 @@ certified by a vertex scan, moments by direct summation over support points, pai
 rays, and Kronecker products formed densely. The one exception is
 normalised_rays, which reuses the library's double description and checks
 only what follows it: normalisation to densities and the column order.
+scan_double_description is the double description with the quadratic pair
+scan; it shares only the rank test with the library, whose pair generation
+it checks.
 
 build_h2 is an input, not an oracle: the pair-moment cone, a second family
 of constraint matrices for checking the double description against the
@@ -196,6 +199,65 @@ def normalised_rays(matrix):
         densities.append(Density(matrix.m, [Fraction(v, total) for v in vec]))
     densities.sort(key=lambda d: d.values)
     return [d.values for d in densities]
+
+
+def scan_double_description(int_rows, n):
+    """The double description with the all-pairs scan: every positive ray
+    meets every negative one, and a pair goes on to the library's rank test
+    when its support union has at most t + 2 coordinates, t the rows inserted
+    so far. The library generates those pairs from shared support subsets
+    instead; both must return the same rays in the same order."""
+    from math import gcd
+
+    from bernray.cone import _adjacent
+
+    rays = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+    supports = [1 << j for j in range(n)]
+    processed = []
+    for row in int_rows:
+        t = len(processed)
+        values = [sum(a * b for a, b in zip(row, ray)) for ray in rays]
+        keep = [k for k, s in enumerate(values) if s == 0]
+        pos = [k for k, s in enumerate(values) if s > 0]
+        neg = [k for k, s in enumerate(values) if s < 0]
+        new_rays = {}
+        for ip in pos:
+            for ineg in neg:
+                union = supports[ip] | supports[ineg]
+                width = union.bit_count()
+                if width > t + 2:
+                    continue
+                if t and not _adjacent(processed, union, width):
+                    continue
+                vp, vn = values[ip], -values[ineg]
+                combo = [vp * b + vn * a for a, b in zip(rays[ip], rays[ineg])]
+                g = 0
+                for v in combo:
+                    g = gcd(g, v)
+                combo = tuple(v // g for v in combo)
+                if combo not in new_rays:
+                    mask = 0
+                    for k, v in enumerate(combo):
+                        if v:
+                            mask |= 1 << k
+                    new_rays[combo] = mask
+        rays = [rays[k] for k in keep] + list(new_rays)
+        supports = [supports[k] for k in keep] + list(new_rays.values())
+        processed.append(row)
+        if not rays:
+            break
+    return rays
+
+
+def scan_pairs(pos_supports, neg_supports, width):
+    """Index pairs (i, j) whose support masks have a union of at most width
+    coordinates, by scanning all of them."""
+    return [
+        (i, j)
+        for i, sp in enumerate(pos_supports)
+        for j, sn in enumerate(neg_supports)
+        if (sp | sn).bit_count() <= width
+    ]
 
 
 def dense_kron(a, b):

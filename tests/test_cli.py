@@ -1,6 +1,9 @@
+import io
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bernray
 from bernray import FrechetClass, margin_rays, moment_map, verify_farkas
 from bernray.cli import COMMANDS as CLI_COMMANDS, main
 
@@ -386,6 +390,64 @@ def test_stdout_when_no_output(tmp_path, capsys):
     assert code == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["ray_count"] == 6
+
+
+def test_closed_stdout_pipe_ends_quietly(tmp_path):
+    # an m=4 rays report (268 rays) outgrows the pipe buffer, so the write
+    # meets the closed pipe
+    spec = write_spec(tmp_path, {"m": 4, "p": ["1/3", "1/2", "3/5", "1/4"]})
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(bernray.__file__))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bernray.cli", "rays", "--input", spec],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0
+    assert stderr == b""
+
+
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        self._fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self._fd
+
+
+def test_closed_stdout_keeps_the_command_exit_code(tmp_path, capsys, monkeypatch):
+    spec = write_spec(tmp_path, {**SYM3_SPEC, **RHO_BAD})
+    with open(tmp_path / "stdout", "w") as handle:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(handle.fileno()))
+        code = main(["fit", "--input", spec])
+        # stdout now points at the null device, so the flush at exit succeeds
+        assert os.path.samestat(os.fstat(handle.fileno()), os.stat(os.devnull))
+    assert code == 2
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("rays", "--csv"), ("sample", "--csv"), ("theta", "--density"), ("fit", "--output"),
+     ("bounds", "--input")],
+)
+def test_empty_flag_value_exits_3(tmp_path, capsys, command, flag):
+    spec = write_spec(tmp_path, {**SYM3_SPEC, **RHO_OK, "options": {"n": 5},
+                                 "density": ["1/8"] * 8})
+    flags = {"--input": spec, flag: ""}
+    code = main([command, *(part for item in flags.items() for part in item)])
+    assert code == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"bernray: invalid input: {flag}: empty path"]
+    assert os.listdir(tmp_path) == ["problem.json"]
 
 
 def test_precision_flag(tmp_path):

@@ -15,7 +15,7 @@ from bernray import (
     margin_rays,
     moment_map,
 )
-from bernray.cone import _int_rank
+from bernray.cone import _candidate_pairs, _double_description, _int_rank, _integer_rows
 from conftest import MARGINS, random_class
 
 HALF = Fraction(1, 2)
@@ -119,6 +119,80 @@ def test_extreme_rays_match_normalise_and_sort_reference_m5(p):
     for vec, total in zip(rays.vectors, rays.totals):
         assert total == sum(vec)
         assert gcd(*vec) == 1
+    assert rays.column_values() == oracles.normalised_rays(h)
+
+
+# the two large m=5 classes: mixed margins, and generic ones (every ray has
+# support m + 1 = 6); they hold the most candidate pairs per ray
+@pytest.mark.parametrize(
+    "p, count",
+    [
+        (["1/3", "1/2", "3/5", "1/4", "2/3"], 15224),
+        (["2/7", "3/11", "5/13", "7/17", "11/19"], 17910),
+    ],
+)
+def test_mixed_and_generic_m5_ray_counts(p, count):
+    assert margin_rays(FrechetClass(p)).n_rays == count
+
+
+def _dd_and_scan(matrix):
+    rows = _integer_rows(matrix.rows)
+    n = 1 << matrix.m
+    return _double_description(rows, n), oracles.scan_double_description(rows, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda m: st.lists(MARGINS, min_size=m, max_size=m)))
+def test_double_description_matches_scan_oracle(p):
+    got, expect = _dd_and_scan(build_h(FrechetClass(p)))
+    assert got == expect
+
+
+# pair-moment rows: moments of a random mixture of point masses (a nonempty
+# cone), or arbitrary moments in [0, 1], which often leave the cone empty
+PAIR_MOMENTS = st.integers(2, 4).flatmap(lambda m: st.tuples(st.just(m), st.one_of(
+    st.lists(st.integers(0, 3), min_size=1 << m, max_size=1 << m).filter(any).map(
+        lambda w: oracles.direct_pair_moments([Fraction(x, sum(w)) for x in w])
+    ),
+    st.lists(st.integers(0, 6).map(lambda k: Fraction(k, 6)), min_size=m * (m - 1) // 2,
+             max_size=m * (m - 1) // 2),
+)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(PAIR_MOMENTS)
+def test_double_description_matches_scan_oracle_on_pair_rows(case):
+    m, mu2 = case
+    got, expect = _dd_and_scan(oracles.build_h2(m, mu2))
+    assert got == expect
+
+
+def test_double_description_matches_scan_oracle_m5():
+    # the enumerate workload's 3,764-ray class
+    got, expect = _dd_and_scan(build_h(FrechetClass(["1/2", "1/6", "1/6", "4/5", "1/4"])))
+    assert len(got) == 3764
+    assert got == expect
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(1, (1 << n) - 1), max_size=12),
+    st.lists(st.integers(1, (1 << n) - 1), max_size=12),
+    st.integers(0, n + 1),
+)))
+def test_candidate_pairs_are_the_scan_survivors(case):
+    pos, neg, width = case
+    supports = pos + neg
+    found = list(_candidate_pairs(supports, range(len(pos)), range(len(pos), len(supports)), width))
+    pairs = [(i, j - len(pos)) for i, negs in found for j in negs]
+    assert pairs == oracles.scan_pairs(pos, neg, width)
+
+
+def test_sort_keys_past_64_bits():
+    # totals whose lcm needs more than the widest fixed-size field
+    h = build_h(FrechetClass([Fraction(1, 10**12 + 39), Fraction(2, 7), Fraction(10**9, 10**9 + 7)]))
+    rays = extreme_rays(h)
+    assert lcm(*rays.totals).bit_length() > 64
     assert rays.column_values() == oracles.normalised_rays(h)
 
 
