@@ -192,7 +192,7 @@ def _nearest(args, spec: ProblemSpec, cls, report: dict) -> int:
             rho = rho_from_mu2(cls, mu2)
         except ValueError as exc:
             raise SpecError(f"mu2: implied {exc}") from exc
-    proj = nearest_feasible_correlation(cls, rho, mode=spec.mode)
+    proj = nearest_feasible_correlation(cls, rho)
     precision = args.precision
     report["rho_target"] = vector_field(rho.values, precision)
     report["mu2_target"] = vector_field(mu2.values, precision)

@@ -39,9 +39,15 @@ from .frechet import FrechetClass
 #: Largest m for ray enumeration: m=6 already has 707,264 rays.
 DIMENSION_CAP = 6
 
+#: Most rays the double description may hold within one row. Symmetric m=6
+#: peaks at 707,264 in its last row; a generic m=6 class passes 10^6 in its
+#: fifth and would otherwise grow until memory runs out.
+RAY_CEILING = 10**6
+
 
 class DimensionCapError(ValueError):
-    """Ray enumeration refused because m exceeds the configured cap."""
+    """Ray enumeration refused because m exceeds the configured cap or the
+    rays outgrow RAY_CEILING."""
 
 
 @dataclass(frozen=True)
@@ -148,7 +154,8 @@ def _int_rank(rows: list[list[int]]) -> int:
 
 def _double_description(int_rows: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
     """Extreme rays of {f >= 0 : row . f = 0 for every row}, as primitive
-    integer vectors. Rows are inserted in the order given."""
+    integer vectors. Rows are inserted in the order given. Refuses, with
+    DimensionCapError, a row whose rays would pass RAY_CEILING."""
     rays: list[tuple[int, ...]] = []
     supports: list[int] = []
     for j in range(n):
@@ -177,6 +184,7 @@ def _double_description(int_rows: list[tuple[int, ...]], n: int) -> list[tuple[i
                 neg.append(idx)
 
         new_rays: dict[tuple[int, ...], int] = {}
+        room = RAY_CEILING - len(keep_rays)
         # the rank test below asks for rank width - 2 of t rows
         for ip, negs in _candidate_pairs(supports, pos, neg, t + 2):
             sp, rp, vp = supports[ip], rays[ip], values[ip]
@@ -188,6 +196,12 @@ def _double_description(int_rows: list[tuple[int, ...]], n: int) -> list[tuple[i
                 # both terms are >= 0, so the combination's support is the union
                 combo = _primitive([vp * b + vn * a for a, b in zip(rp, rays[ineg])])
                 new_rays.setdefault(combo, union)
+            if len(new_rays) > room:
+                raise DimensionCapError(
+                    f"ray enumeration for m={n.bit_length() - 1} holds "
+                    f"{len(keep_rays) + len(new_rays):,} rays in row {t + 1}, "
+                    f"past the ceiling of {RAY_CEILING:,}"
+                )
 
         rays = keep_rays + list(new_rays)
         supports = keep_sup + list(new_rays.values())

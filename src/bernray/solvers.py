@@ -14,7 +14,8 @@ Infeasible targets come back with an exact rational Farkas certificate.
 For unattainable correlation targets, nearest_feasible_correlation returns
 the closest attainable point in the Euclidean correlation metric, exactly:
 Wolfe's minimum-norm-point algorithm over the class polytope, whose vertices
-come from a scan of the ray columns or from an exact LP over the 2^m masses.
+come one at a time from an exact LP over the 2^m masses. It never enumerates
+rays, so it has no ray cap.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from fractions import Fraction
 from math import comb, lcm, sqrt
 from typing import Sequence
 
-from .cone import MomentMap, RayMatrix, margin_rays, moment_map, moment_rows
+from .cone import MomentMap, RayMatrix, moment_rows
 from .frechet import (
     CorrelationSpec,
     Density,
@@ -173,34 +174,29 @@ def nearest_feasible_correlation(
     cls: FrechetClass,
     rho: CorrelationSpec,
     rays: RayMatrix | None = None,
-    mode: str = "rays",
 ) -> ProjectionResult:
     """Project a correlation target onto the attainable set.
 
-    Attainable targets come straight back with distance 0 and the weights of
-    one exact fit LP. Otherwise Wolfe's minimum-norm-point algorithm finds the
-    attainable pair moments nearest the target in the metric
+    Attainability is one exact LP over the 2^m masses: an attainable target
+    comes straight back with distance 0, lambda (1,) and that LP's density.
+    Otherwise Wolfe's minimum-norm-point algorithm finds the attainable pair
+    moments nearest the target in the metric
     sum_ij (mu_ij - t_ij)^2 / (p_i q_i p_j q_j), which is exactly the squared
     Euclidean distance in correlation coordinates. The algorithm is finite
     and exact: the answer is the projection itself, certified by a gap of 0.
 
-    mode "rays" takes its vertices from the enumerated ray matrix; mode
-    "direct" never enumerates and asks one exact LP over the class polytope
-    for each vertex, so it has no dimension cap. Both modes give the same
-    projection; only the mixture weights behind it may differ.
+    Each vertex Wolfe asks for (a normalized ray density) comes from one exact
+    LP over the 2^m masses, so no ray is enumerated and any m the support cap
+    admits works. lambda weights the vertices of the final corral.
+
+    rays is unused. The projection is unique whichever source supplies the
+    vertices, and the parameter stays only because the acceptance suite
+    passes the ray matrix it already holds.
     """
     if rho.m != cls.m:
         raise ValueError("correlation dimension does not match the class")
     mu_t = mu2_from_rho(cls, rho)
-    if mode == "direct":
-        fit = fit_density_direct(cls, mu_t)
-    elif mode == "rays":
-        if rays is None:
-            rays = margin_rays(cls)
-        amap = moment_map(rays, 2)
-        fit = fit_lambda(amap, mu_t)
-    else:
-        raise ValueError(f"unknown projection mode {mode!r}")
+    fit = fit_density_direct(cls, mu_t)
     if fit.status == "feasible":
         return ProjectionResult(
             "feasible",
@@ -208,7 +204,7 @@ def nearest_feasible_correlation(
             PairMoments(cls.m, mu_t.values),
             0.0,
             ZERO,
-            fit.lam or (ONE,),
+            (ONE,),
             fit.density,
             0,
             ZERO,
@@ -216,18 +212,8 @@ def nearest_feasible_correlation(
         )
 
     weights = _pair_weights(cls)
-    oracle = _column_oracle(amap) if mode == "rays" else _vertex_oracle(cls, mu_t)
-    keys, lam, x, iterations, gap = _wolfe(oracle, weights, mu_t.values)
-    if mode == "rays":
-        vectors = [rays.vectors[k] for k in keys]
-        totals = [rays.totals[k] for k in keys]
-        full = [ZERO] * rays.n_rays
-        for k, w in zip(keys, lam):
-            full[k] = w
-    else:
-        vectors = [vector for vector, _ in keys]
-        totals = [total for _, total in keys]
-        full = lam
+    keys, lam, x, iterations, gap = _wolfe(_vertex_oracle(cls, mu_t), weights, mu_t.values)
+    vectors, totals = zip(*keys)
     mu_star = PairMoments(cls.m, [v + t for v, t in zip(x, mu_t.values)])
     dist_sq = sum(w * v * v for w, v in zip(weights, x))
     return ProjectionResult(
@@ -236,35 +222,12 @@ def nearest_feasible_correlation(
         mu_star,
         sqrt(float(dist_sq)),
         dist_sq,
-        tuple(full),
+        tuple(lam),
         _mixture(cls.m, vectors, totals, lam),
         iterations,
         gap,
         gap == 0,
     )
-
-
-def _column_oracle(amap: MomentMap):
-    """Linear minimization over the ray columns' pair moments: a scan in
-    integers, ties to the lowest index. Keys are column indices."""
-    columns = list(zip(*amap.entries))
-    totals = amap.rays.totals
-    # column k is sums[k] / totals[k] with integer sums
-    sums = [
-        [a.numerator * (total // a.denominator) for a in col]
-        for col, total in zip(columns, totals)
-    ]
-
-    def oracle(c: Sequence[Fraction]) -> tuple[int, Sequence[Fraction]]:
-        scale = lcm(*(v.denominator for v in c))
-        ci = [v.numerator * (scale // v.denominator) for v in c]
-        k = min(
-            range(len(sums)),
-            key=lambda k: Fraction(sum(a * b for a, b in zip(ci, sums[k]) if a), totals[k]),
-        )
-        return k, columns[k]
-
-    return oracle
 
 
 def _vertex_oracle(cls: FrechetClass, mu_t: PairMoments):

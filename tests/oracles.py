@@ -9,7 +9,9 @@ normalised_rays, which reuses the library's double description and checks
 only what follows it: normalisation to densities and the column order.
 scan_double_description is the double description with the quadratic pair
 scan; it shares only the rank test with the library, whose pair generation
-it checks.
+it checks. column_oracle is the linear-minimization oracle that scans every
+ray column; run under the library's Wolfe loop, it gives the projection that
+the library's vertex-LP oracle must reproduce.
 
 build_h2 is an input, not an oracle: the pair-moment cone, a second family
 of constraint matrices for checking the double description against the
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import sqrt
+from math import lcm, sqrt
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -320,6 +322,30 @@ def grid_projection_distance(columns, weights, target, resolution=8, shrink_roun
         if step < 1e-12:
             break
     return sqrt(best_val)
+
+
+def column_oracle(amap):
+    """Linear minimization over the ray columns' pair moments, for Wolfe's
+    loop: a scan in integers, ties to the lowest index. amap is the order-2
+    moment map of a ray matrix; keys are column indices."""
+    columns = list(zip(*amap.entries))
+    totals = amap.rays.totals
+    # column k is sums[k] / totals[k] with integer sums
+    sums = [
+        [a.numerator * (total // a.denominator) for a in col]
+        for col, total in zip(columns, totals)
+    ]
+
+    def oracle(c):
+        scale = lcm(*(v.denominator for v in c))
+        ci = [v.numerator * (scale // v.denominator) for v in c]
+        k = min(
+            range(len(sums)),
+            key=lambda k: Fraction(sum(a * b for a, b in zip(ci, sums[k]) if a), totals[k]),
+        )
+        return k, columns[k]
+
+    return oracle
 
 
 def projection_certified(p, target, mu2_star, vertices):

@@ -189,6 +189,63 @@ def test_dimension_cap_exits_4(tmp_path):
     assert code == 4
 
 
+# project case 1 of the benchmark: an m=4 class and an unattainable target
+PROJECT_CASE_1 = {
+    "m": 4, "p": ["2/3", "1/4", "1/5", "4/5"],
+    "rho": ["-0.78", "0.12", "0.04", "0.38", "-0.85", "-0.93"],
+}
+
+
+@pytest.mark.parametrize(
+    "payload, status",
+    [({**SYM3_SPEC, **RHO_OK}, "feasible"), ({**SYM3_SPEC, **RHO_BAD}, "projected"),
+     (PROJECT_CASE_1, "projected")],
+    ids=["sym3-attainable", "sym3-projected", "project-case-1"],
+)
+def test_nearest_report_does_not_depend_on_mode(tmp_path, payload, status):
+    # one projection path: --mode and options.mode are accepted and ignored
+    reports = []
+    for name, options, argv in [
+        ("flag-rays", {}, ["--mode", "rays"]),
+        ("flag-direct", {}, ["--mode", "direct"]),
+        ("options-direct", {"options": {"mode": "direct"}}, []),
+    ]:
+        spec = write_spec(tmp_path, {**payload, **options}, f"{name}.json")
+        code, rep = run_cli(tmp_path, ["nearest", "--input", spec] + argv, f"{name}-out.json")
+        assert code == 0
+        assert rep["status"] == status
+        del rep["diagnostics"]
+        reports.append(rep)
+    assert reports[0] == reports[1] == reports[2]
+
+
+@pytest.mark.parametrize("command, expect", [("rays", 4), ("fit", 4), ("nearest", 0)])
+def test_ray_cap_binds_rays_and_ray_mode_fit_only(tmp_path, capsys, command, expect):
+    # m=7 is above the ray cap of 6; nearest projects without rays
+    spec = write_spec(tmp_path, {"m": 7, "p": ["1/2"] * 7, "rho": ["0.1"] * 21})
+    code, rep = run_cli(tmp_path, [command, "--input", spec, "--mode", "rays"])
+    assert code == expect
+    if expect == 4:
+        assert rep is None
+        assert capsys.readouterr().err == "bernray: ray enumeration for m=7 exceeds the cap of 6\n"
+    else:
+        assert rep["status"] == "feasible"
+
+
+@pytest.mark.parametrize("command, expect", [("rays", 4), ("fit", 4), ("nearest", 0)])
+def test_ray_ceiling_exits_4_with_one_line(tmp_path, capsys, monkeypatch, command, expect):
+    # symmetric m=3 holds 16 rays in row 1, past a ceiling of 15
+    monkeypatch.setattr(bernray.cone, "RAY_CEILING", 15)
+    spec = write_spec(tmp_path, {**SYM3_SPEC, **RHO_OK})
+    code, rep = run_cli(tmp_path, [command, "--input", spec, "--mode", "rays"])
+    assert code == expect
+    if expect == 4:
+        assert rep is None
+        assert capsys.readouterr().err == (
+            "bernray: ray enumeration for m=3 holds 16 rays in row 1, past the ceiling of 15\n"
+        )
+
+
 @pytest.mark.parametrize("m", [1, 7])
 def test_bounds_closed_form_at_any_m(tmp_path, m):
     # no ray enumeration: m=1 has no pairs and m=7 is above the ray cap

@@ -11,6 +11,7 @@ from bernray import (
     DimensionCapError,
     FrechetClass,
     build_h,
+    cone,
     extreme_rays,
     margin_rays,
     moment_map,
@@ -238,3 +239,20 @@ def test_extreme_rays_on_explicit_matrix():
 def test_dimension_cap():
     with pytest.raises(DimensionCapError):
         margin_rays(FrechetClass([HALF] * 7))
+
+
+def test_ray_ceiling_refuses_the_row_that_outgrows_it(monkeypatch):
+    # symmetric m=3 peaks at 16 rays in row 1 (4 positive x 4 negative unit
+    # rays); p = 1/3 at m=4 peaks at 80 in row 2, kept rays included
+    cases = [([HALF] * 3, 16, 1), ([Fraction(1, 3)] * 4, 80, 2)]
+    uncapped = [margin_rays(FrechetClass(p)) for p, _, _ in cases]
+    for (p, peak, row), rays in zip(cases, uncapped):
+        cls = FrechetClass(p)
+        monkeypatch.setattr(cone, "RAY_CEILING", peak)
+        assert margin_rays(cls) == rays
+        monkeypatch.setattr(cone, "RAY_CEILING", peak - 1)
+        with pytest.raises(DimensionCapError) as refused:
+            margin_rays(cls)
+        assert str(refused.value) == (
+            f"ray enumeration for m={len(p)} holds {peak} rays in row {row}, past the ceiling of {peak - 1}"
+        )

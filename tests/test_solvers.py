@@ -22,7 +22,7 @@ from bernray import (
     pair_moments_of,
 )
 from bernray.simplex import verify_farkas
-from bernray.solvers import _direct_rows, _pair_weights
+from bernray.solvers import _direct_rows, _pair_weights, _wolfe
 from conftest import MARGINS
 
 F = Fraction
@@ -133,17 +133,18 @@ def test_solve_margins_given_mu2_cases():
     assert verify_farkas(*_direct_rows(bad_cls, mu2), bad.certificate)
 
 
-def test_projection_on_feasible_target_is_identity(sym3, sym3_rays):
-    res = nearest_feasible_correlation(sym3, RHO_FEASIBLE, rays=sym3_rays)
+def test_projection_on_feasible_target_is_identity(sym3):
+    res = nearest_feasible_correlation(sym3, RHO_FEASIBLE)
     assert res.status == "feasible"
     assert res.distance == 0.0
     assert res.distance_sq == 0
+    assert res.lam == (1,)
     assert res.rho_star.values == RHO_FEASIBLE.values
     assert pair_moments_of(res.density).values == res.mu2_star.values
 
 
 def test_projection_infeasible_target(sym3, sym3_rays):
-    res = nearest_feasible_correlation(sym3, RHO_INFEASIBLE, rays=sym3_rays)
+    res = nearest_feasible_correlation(sym3, RHO_INFEASIBLE)
     assert res.status == "projected"
     assert res.gap <= F(1, 10**12)
     # the projected point must itself be attainable
@@ -160,13 +161,18 @@ def test_projection_infeasible_target(sym3, sym3_rays):
     assert res.distance == pytest.approx(oracle, abs=1e-7)
 
 
-def test_projection_direct_mode_matches_ray_mode(sym3, sym3_rays):
-    ray_res = nearest_feasible_correlation(sym3, RHO_INFEASIBLE, rays=sym3_rays)
-    direct = nearest_feasible_correlation(sym3, RHO_INFEASIBLE, mode="direct")
-    assert direct.status == "projected"
-    assert direct.distance_sq == ray_res.distance_sq
-    assert direct.distance == ray_res.distance
-    assert pair_moments_of(direct.density).values == direct.mu2_star.values
+def _ray_scan_projection(cls, rho, rays):
+    """The projection by the ray route: attainability by one LP over every
+    ray column, then Wolfe's loop over a scan of those columns. Returns the
+    status, the exact squared distance and the nearest pair moments."""
+    amap = moment_map(rays, 2)
+    target = mu2_from_rho(cls, rho)
+    status = "feasible" if fit_lambda(amap, target).status == "feasible" else "projected"
+    weights = _pair_weights(cls)
+    _, _, x, _, gap = _wolfe(oracles.column_oracle(amap), weights, target.values)
+    assert gap == 0
+    mu_star = PairMoments(cls.m, [v + t for v, t in zip(x, target.values)])
+    return status, sum(w * v * v for w, v in zip(weights, x)), mu_star
 
 
 def _certified(cls, rho, res, vertices):
@@ -174,21 +180,38 @@ def _certified(cls, rho, res, vertices):
     return oracles.projection_certified(cls.p, target, res.mu2_star.values, vertices)
 
 
-@pytest.mark.parametrize("mode", ["rays", "direct"])
-def test_projection_certificate(sym3, sym3_rays, mode):
-    # ray mode against every ray column, direct mode against every vertex of
-    # the class polytope found by basis inspection
-    res = nearest_feasible_correlation(sym3, RHO_INFEASIBLE, rays=sym3_rays, mode=mode)
+def _matches_ray_scan(cls, rho, rays):
+    """nearest against the ray route: the same status, exact distance and
+    point, certified over every ray column and, at m <= 3, over every class
+    vertex found by basis inspection (about 2 s per class at m = 4)."""
+    res = nearest_feasible_correlation(cls, rho)
+    assert (res.status, res.distance_sq, res.mu2_star) == _ray_scan_projection(cls, rho, rays)
+    assert pair_moments_of(res.density).values == res.mu2_star.values
+    assert tuple(margins_of(res.density)) == cls.p
+    if res.status == "projected":
+        assert res.gap == 0 and res.converged is True
+    assert _certified(cls, rho, res, rays.column_values())
+    if cls.m <= 3:
+        assert _certified(cls, rho, res, oracles.bfs_vertices(*oracles.class_polytope_rows(cls.p)))
+    return res
+
+
+def test_projection_direct_mode_matches_ray_mode(sym3, sym3_rays):
+    assert _matches_ray_scan(sym3, RHO_INFEASIBLE, sym3_rays).status == "projected"
+    assert _matches_ray_scan(sym3, RHO_FEASIBLE, sym3_rays).status == "feasible"
+
+
+@pytest.mark.parametrize("source", ["rays", "direct"])
+def test_projection_certificate(sym3, sym3_rays, source):
+    # certified against every ray column, or against every vertex of the
+    # class polytope found by basis inspection
+    res = _matches_ray_scan(sym3, RHO_INFEASIBLE, sym3_rays)
     assert res.status == "projected"
-    assert res.gap == 0
-    assert res.converged is True
-    if mode == "rays":
+    if source == "rays":
         vertices = sym3_rays.column_values()
     else:
         vertices = oracles.bfs_vertices(*oracles.class_polytope_rows(sym3.p))
     assert _certified(sym3, RHO_INFEASIBLE, res, vertices)
-    assert pair_moments_of(res.density).values == res.mu2_star.values
-    assert tuple(margins_of(res.density)) == sym3.p
 
 
 def test_projection_modes_agree_on_project_cases_1_and_3():
@@ -196,19 +219,12 @@ def test_projection_modes_agree_on_project_cases_1_and_3():
     # class, one target, so one exact projection
     cls = FrechetClass([F(2, 3), F(1, 4), F(1, 5), F(4, 5)])
     rho = CorrelationSpec(4, [F(v) for v in ("-0.78", "0.12", "0.04", "0.38", "-0.85", "-0.93")])
-    rays = margin_rays(cls)
-    ray_res = nearest_feasible_correlation(cls, rho, rays=rays)
-    direct = nearest_feasible_correlation(cls, rho, mode="direct")
-    assert ray_res.status == direct.status == "projected"
-    assert ray_res.distance_sq == direct.distance_sq
-    assert ray_res.mu2_star == direct.mu2_star
-    assert _certified(cls, rho, ray_res, rays.column_values())
-    assert _certified(cls, rho, direct, oracles.bfs_vertices(*oracles.class_polytope_rows(cls.p)))
+    assert _matches_ray_scan(cls, rho, margin_rays(cls)).status == "projected"
 
 
-def test_projection_deterministic(sym3, sym3_rays):
-    a = nearest_feasible_correlation(sym3, RHO_INFEASIBLE, rays=sym3_rays)
-    b = nearest_feasible_correlation(sym3, RHO_INFEASIBLE, rays=sym3_rays)
+def test_projection_deterministic(sym3):
+    a = nearest_feasible_correlation(sym3, RHO_INFEASIBLE)
+    b = nearest_feasible_correlation(sym3, RHO_INFEASIBLE)
     assert a.lam == b.lam
     assert a.iterations == b.iterations
     assert a.distance_sq == b.distance_sq
@@ -225,7 +241,7 @@ def test_projection_random_targets_beat_grid_oracle():
         rho = CorrelationSpec(
             3, [F(rng.randint(-9, 9), 10) for _ in range(3)]
         )
-        res = nearest_feasible_correlation(cls, rho, rays=rays)
+        res = nearest_feasible_correlation(cls, rho)
         target = mu2_from_rho(cls, rho)
         oracle = oracles.grid_projection_distance(cols, weights, target.values)
         # never worse than the oracle by more than its own resolution
@@ -289,20 +305,4 @@ def _class_and_rho(draw):
 @given(_class_and_rho())
 def test_ray_and_direct_projections_agree(case):
     cls, rho = case
-    rays = margin_rays(cls)
-    ray_res = nearest_feasible_correlation(cls, rho, rays=rays)
-    direct = nearest_feasible_correlation(cls, rho, mode="direct")
-    assert ray_res.status == direct.status
-    assert ray_res.distance_sq == direct.distance_sq
-    # the class vertices by basis inspection take ~2 s per m=4 class; there
-    # the ray columns stand in, which criterion 7 equates with them
-    if cls.m <= 3:
-        vertices = oracles.bfs_vertices(*oracles.class_polytope_rows(cls.p))
-    else:
-        vertices = rays.column_values()
-    for res, points in ((ray_res, rays.column_values()), (direct, vertices)):
-        assert pair_moments_of(res.density).values == res.mu2_star.values
-        assert tuple(margins_of(res.density)) == cls.p
-        if res.status == "projected":
-            assert res.gap == 0 and res.converged is True
-            assert _certified(cls, rho, res, points)
+    _matches_ray_scan(cls, rho, margin_rays(cls))
