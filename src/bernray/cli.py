@@ -23,6 +23,7 @@ from .cone import DimensionCapError, margin_rays, moment_map
 from .frechet import mu2_from_rho, rho_from_mu2, theta_from_density
 from .report import (
     DEFAULT_PRECISION,
+    MAX_DRAWS,
     MAX_PRECISION,
     ProblemSpec,
     SpecError,
@@ -323,6 +324,8 @@ def run(args) -> tuple[dict, int]:
     if args.n is not None:
         if args.n < 1:
             raise SpecError("--n: must be >= 1")
+        if args.n > MAX_DRAWS:
+            raise SpecError(f"--n: must be at most {MAX_DRAWS}")
         spec.n = args.n
     precision = args.precision
     if not 1 <= precision <= MAX_PRECISION:

@@ -35,6 +35,7 @@ from math import gcd, lcm
 from typing import Sequence
 
 from .frechet import FrechetClass
+from .tensor import subset_points
 
 #: Largest m for ray enumeration: m=6 already has 707,264 rays.
 DIMENSION_CAP = 6
@@ -315,20 +316,14 @@ def moment_rows(
     m: int, vectors: Sequence[Sequence[int]], totals: Sequence[int], order: int
 ) -> list[tuple[Fraction, ...]]:
     """Raw moments of the given interaction order for the columns
-    vectors[k] / totals[k], one row per coordinate subset in lexicographic
-    order. Each entry is one Fraction of an integer sum. An order above m
-    has no subsets and gives no rows."""
-    rows = []
-    for subset in itertools.combinations(range(m), order):
-        mask = 0
-        for c in subset:
-            mask |= 1 << c
-        support = [j for j in range(1 << m) if (j & mask) == mask]
-        rows.append(tuple(
-            Fraction(sum(vec[j] for j in support), total)
-            for vec, total in zip(vectors, totals)
-        ))
-    return rows
+    vectors[k] / totals[k]: one row per coordinate subset, in the order of
+    tensor.subset_points, whose entry is the column's integer sum over that
+    subset's points over its total. An order above m has no subsets and
+    gives no rows."""
+    return [
+        tuple(Fraction(sum(vec[j] for j in points), total) for vec, total in zip(vectors, totals))
+        for points in subset_points(m, order)
+    ]
 
 
 def moment_map(rays: RayMatrix, order: int) -> MomentMap:

@@ -2,13 +2,14 @@
 
 A class is determined by m margin probabilities p_i in (0,1); its members are
 the probability mass functions on {0,1}^m whose i-th margin is Bernoulli(p_i).
-This module holds the exact conversions between the four coordinate systems a
-member can be written in:
+This module holds the exact conversions between the three coordinate systems
+a member can be written in:
 
-    density f  <->  CDF F  <->  theta vector  and  f -> raw moments E[X^alpha]
+    density f  <->  CDF F  <->  theta vector
 
-plus the exact translation between pairwise raw moments E[X_i X_j] and
-Pearson correlations.
+the margins and pair moments of a density, each the mass on the points that
+tensor.subset_points lists for its subset, and the exact translation between
+pairwise raw moments E[X_i X_j] and Pearson correlations.
 
 All vectors are indexed by the canonical support order of tensor.py
 (coordinate 1 = least significant bit). Theta vectors use the same bijection:
@@ -27,12 +28,12 @@ from typing import Sequence
 from .tensor import (
     CUMSUM_2,
     DIFF_2,
-    MOMENT_2,
     RationalLike,
     Stencil,
     as_fraction,
     exact_text,
     kron_apply,
+    subset_points,
 )
 
 #: tolerance of the declared square-root policy
@@ -311,58 +312,19 @@ def theta_from_density(cls: FrechetClass, f: Density) -> ThetaVector:
 # moments
 
 
-def moment_vector(f: Density) -> tuple[Fraction, ...]:
-    """All raw moments E[prod X_i^alpha_i], subset-indexed like theta vectors.
-
-    Entry at subset alpha equals the mass of {x : x >= alpha componentwise};
-    entry 0 is 1.
-    """
-    return kron_apply([MOMENT_2] * f.m, f.values)
-
-
-def select_moments(moments: Sequence[Fraction], order: int) -> tuple[Fraction, ...]:
-    """Pick the moments of one interaction order from a full moment vector.
-
-    Order 1 returns the margins coordinate-ascending; order 2 returns pair
-    moments in lexicographic pair order; higher orders follow the same
-    subset-lexicographic rule. An order above m has no subsets and gives ().
-    """
-    n = len(moments)
-    m = n.bit_length() - 1
-    if 1 << m != n:
-        raise ValueError(f"moment vector length {n} is not a power of 2")
-    if order < 0:
-        raise ValueError(f"moment order {order} is negative")
-    out = []
-    for subset in itertools.combinations(range(m), order):
-        idx = 0
-        for c in subset:
-            idx |= 1 << c
-        out.append(as_fraction(moments[idx]))
-    return tuple(out)
+def _subset_sums(f: Density, order: int) -> tuple[Fraction, ...]:
+    values = f.values
+    return tuple(sum((values[j] for j in points), ZERO) for points in subset_points(f.m, order))
 
 
 def margins_of(f: Density) -> tuple[Fraction, ...]:
-    """P(X_i = 1) by direct summation (no tensor shortcut)."""
-    out = [ZERO] * f.m
-    for j, v in enumerate(f.values):
-        if v:
-            for i in range(f.m):
-                if (j >> i) & 1:
-                    out[i] += v
-    return tuple(out)
+    """P(X_i = 1), coordinate-ascending: the mass on each margin's points."""
+    return _subset_sums(f, 1)
 
 
 def pair_moments_of(f: Density) -> PairMoments:
-    """E[X_i X_j] per pair by direct summation."""
-    m = f.m
-    acc = {pair: ZERO for pair in itertools.combinations(range(m), 2)}
-    for j, v in enumerate(f.values):
-        if v:
-            on = [i for i in range(m) if (j >> i) & 1]
-            for pair in itertools.combinations(on, 2):
-                acc[pair] += v
-    return PairMoments(m, [acc[pair] for pair in itertools.combinations(range(m), 2)])
+    """E[X_i X_j] per pair: the mass on the points where both are 1."""
+    return PairMoments(f.m, _subset_sums(f, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,10 @@ DEFAULT_PRECISION = 12
 #: so an uncapped value grows reports without bound. 100 is twice the 50
 #: digits the square-root policy guarantees; the exact fields carry the rest.
 MAX_PRECISION = 100
+#: Largest sample size. A sample keeps every draw in memory (one code per
+#: draw) and its CSV holds a row per draw, so an uncapped n grows without
+#: bound: 10^10 draws would run for hours toward about 80 GB.
+MAX_DRAWS = 10**7
 
 MODES = ("rays", "direct")
 OBJECTIVES = ("none", "min-higher-moments")
@@ -152,6 +156,8 @@ def parse_problem_spec(obj: Any) -> ProblemSpec:
         n = _want_int(options, "n", "options.n")
         if n < 1:
             raise SpecError(f"options.n: must be >= 1, got {n}")
+        if n > MAX_DRAWS:
+            raise SpecError(f"options.n: must be at most {MAX_DRAWS}, got {n}")
     return ProblemSpec(m, p, rho, mu2, mode, objective, seed, n, obj.get("density"))
 
 

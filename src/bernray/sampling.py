@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Iterator
 
-from .frechet import Density, moment_vector, select_moments
+from .frechet import Density
+from .tensor import subset_points
 
 GENERATOR_ID = "splitmix64-v1"
 
@@ -84,10 +85,12 @@ def sample(f: Density, n: int, seed: int) -> SampleBatch:
 
 def empirical_moments(batch: SampleBatch, order: int) -> tuple[Fraction, ...]:
     """Exact rational empirical raw moments of the given order, subsets in
-    lexicographic order (order 1: margins; order 2: pair products), read
-    from the empirical density of the batch."""
+    lexicographic order (order 1: margins; order 2: pair products): the
+    share of draws on each subset's points."""
     if batch.n == 0:
         raise ValueError("empty batch has no moments")
     counts = Counter(batch.codes)
-    f = Density(batch.m, [Fraction(counts[j], batch.n) for j in range(1 << batch.m)])
-    return select_moments(moment_vector(f), order)
+    return tuple(
+        Fraction(sum(counts[j] for j in points), batch.n)
+        for points in subset_points(batch.m, order)
+    )

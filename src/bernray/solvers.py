@@ -35,6 +35,7 @@ from .frechet import (
     rho_from_mu2,
 )
 from .simplex import solve_lp
+from .tensor import subset_points
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -116,14 +117,14 @@ def fit_lambda(amap: MomentMap, mu2: PairMoments) -> FitResult:
 def _direct_rows(cls: FrechetClass, mu2: PairMoments) -> tuple[list[list[Fraction]], list[Fraction]]:
     """Constraint rows on the 2^m mass variables and their right-hand side:
     margins p, pair moments mu2, unit total."""
-    m = cls.m
+    n = 1 << cls.m
     rows: list[list[Fraction]] = []
-    for i in range(m):
-        rows.append([ONE if (j >> i) & 1 else ZERO for j in range(1 << m)])
-    for i, j in itertools.combinations(range(m), 2):
-        mask = (1 << i) | (1 << j)
-        rows.append([ONE if (k & mask) == mask else ZERO for k in range(1 << m)])
-    rows.append([ONE] * (1 << m))
+    for points in subset_points(cls.m, 1) + subset_points(cls.m, 2):
+        row = [ZERO] * n
+        for j in points:
+            row[j] = ONE
+        rows.append(row)
+    rows.append([ONE] * n)
     return rows, list(cls.p) + list(mu2.values) + [ONE]
 
 
@@ -232,15 +233,19 @@ def nearest_feasible_correlation(
 
 def _vertex_oracle(cls: FrechetClass, mu_t: PairMoments):
     """Linear minimization over the class polytope: one exact LP over the
-    margin and unit-sum rows of the direct system, whose pair rows turn the
-    objective on pair moments into one on the 2^m masses. Keys are the
-    vertices in ray form."""
+    margin and unit-sum rows of the direct system, with the objective on
+    pair moments spread over each pair's points to give one on the 2^m
+    masses. Keys are the vertices in ray form."""
     m = cls.m
     rows, b = _direct_rows(cls, mu_t)
-    margin_rows, margin_b, pair_rows = rows[:m] + rows[-1:], b[:m] + b[-1:], rows[m:-1]
+    margin_rows, margin_b = rows[:m] + rows[-1:], b[:m] + b[-1:]
+    pair_points = subset_points(m, 2)
 
     def oracle(c: Sequence[Fraction]) -> tuple[tuple[tuple[int, ...], int], list[Fraction]]:
-        cost = [sum((a for a, row in zip(c, pair_rows) if row[j]), ZERO) for j in range(1 << m)]
+        cost = [ZERO] * (1 << m)
+        for a, points in zip(c, pair_points):
+            for j in points:
+                cost[j] += a
         vertex, total = _integer_vertex(m, solve_lp(margin_rows, margin_b, c=cost).x)
         return (vertex, total), [row[0] for row in moment_rows(m, [vertex], [total], 2)]
 

@@ -1,5 +1,6 @@
 """Exact rational scalars and their text at any size, Kronecker-structured
-2x2 stencils, and the canonical ordering of the binary support {0,1}^m.
+2x2 stencils, the canonical ordering of the binary support {0,1}^m, and the
+support points under each coordinate subset.
 
 Everything here is exact. Scalars are fractions.Fraction throughout; no floats
 enter or leave this module.
@@ -10,6 +11,7 @@ is the fastest-toggling (least significant) bit and j runs ascending.
 """
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Sequence
 
@@ -104,9 +106,22 @@ def kron_apply(factors: Sequence[Stencil], vec: Sequence[RationalLike]) -> tuple
     return tuple(v)
 
 
-# First differences along one margin, their inverse running sums, and the
-# upper running-sum moment stencil; tensored over coordinates they convert
-# CDF <-> density <-> raw moments.
+# First differences along one margin and their inverse running sums;
+# tensored over coordinates they convert CDF <-> density.
 DIFF_2 = (1, 0, -1, 1)
 CUMSUM_2 = (1, 0, 1, 1)
-MOMENT_2 = (1, 1, 0, 1)
+
+
+def subset_points(m: int, order: int) -> list[tuple[int, ...]]:
+    """For each coordinate subset of size `order`, in lexicographic order,
+    the support indices, ascending, of the points whose coordinates in the
+    subset are all 1. The raw moment of a subset is the mass on its points.
+
+    Order 1 lists the margins coordinate-ascending and order 2 the pairs
+    (1,2), (1,3), ..., (m-1,m); order 0 gives one entry holding every point,
+    and an order above m has no subsets and gives []."""
+    table = []
+    for subset in itertools.combinations(range(m), order):
+        mask = sum(1 << c for c in subset)
+        table.append(tuple(j for j in range(1 << m) if j & mask == mask))
+    return table

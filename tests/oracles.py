@@ -159,6 +159,19 @@ def direct_margins(values):
     return [sum(v for j, v in enumerate(values) if (j >> i) & 1) for i in range(m)]
 
 
+def direct_subset_moments(values, order):
+    """Raw moments of one order by direct summation: each support point adds
+    its mass to every subset of that size of its 1-coordinates. Subsets in
+    lexicographic order; an order above m gives []."""
+    m = len(values).bit_length() - 1
+    acc = {subset: ZERO for subset in itertools.combinations(range(m), order)}
+    for j, v in enumerate(values):
+        on = [i for i in range(m) if (j >> i) & 1]
+        for subset in itertools.combinations(on, order):
+            acc[subset] += v
+    return list(acc.values())
+
+
 def direct_pair_moments(values):
     """Pair moments by direct summation, lexicographic pair order."""
     n = len(values)

@@ -271,6 +271,37 @@ def test_sample_size_below_one_exits_3(tmp_path, capsys, spec_n, argv):
     assert "must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "spec_n, argv, head",
+    [(None, ["--n", "10000001"], "--n:"), (10000001, [], "options.n:"), (5, ["--n", "10000001"], "--n:")],
+)
+def test_sample_size_above_max_draws_exits_3_before_any_lp(
+    tmp_path, capsys, monkeypatch, spec_n, argv, head
+):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("an LP ran before the sample size was checked")
+
+    monkeypatch.setattr("bernray.solvers.solve_lp", no_lp)
+    options = {} if spec_n is None else {"options": {"n": spec_n}}
+    spec = write_spec(tmp_path, {**SYM3_SPEC, **RHO_OK, **options})
+    code, rep = run_cli(tmp_path, ["sample", "--input", spec] + argv)
+    assert code == 3
+    assert rep is None
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert head in err and "must be at most 10000000" in err
+
+
+@pytest.mark.parametrize("spec_n, argv", [(None, ["--n", "10000000"]), (10000000, [])])
+def test_sample_size_at_max_draws_is_accepted(tmp_path, spec_n, argv):
+    # an unattainable target ends in exit 2 before anything is drawn
+    options = {} if spec_n is None else {"options": {"n": spec_n}}
+    spec = write_spec(tmp_path, {**SYM3_SPEC, **RHO_BAD, **options})
+    code, rep = run_cli(tmp_path, ["sample", "--input", spec] + argv)
+    assert code == 2
+    assert rep["status"] == "infeasible"
+
+
 @pytest.mark.parametrize("command", ["rays", "bounds", "fit", "nearest", "minimize", "sample"])
 @pytest.mark.parametrize("precision", ["0", "-1", "101", "1000000"])
 def test_precision_below_one_exits_3(tmp_path, capsys, command, precision):
@@ -693,9 +724,10 @@ def _specs(draw):
         "--density": st.sampled_from(["{tmp}/spec.json", "{tmp}/missing.json"]),
         "--paper-order": st.none(),
     }),
-    # an out-of-range flag value in four examples out of seven
+    # an out-of-range flag value in five examples out of eight
     bad_flag=st.sampled_from([
-        None, None, None, ["--n", "0"], ["--seed", "-1"], ["--precision", "0"], ["--precision", "101"],
+        None, None, None, ["--n", "0"], ["--n", "10000001"], ["--seed", "-1"], ["--precision", "0"],
+        ["--precision", "101"],
     ]),
 )
 def test_cli_fuzz_exits_with_a_known_code(spec, flags, bad_flag):

@@ -1,4 +1,5 @@
 import io
+import itertools
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -72,6 +73,18 @@ def test_empirical_moments_by_direct_count():
     count12 = sum(1 for c in batch.codes if c & 3 == 3)
     assert m1 == (F(count1, 2000), F(count2, 2000))
     assert m2 == (F(count12, 2000),)
+
+
+def test_empirical_moments_count_every_order_at_m3():
+    f = Density(3, [F(1, 10), F(1, 5), F(1, 20), F(3, 20), F(1, 10), F(1, 10), F(1, 20), F(1, 4)])
+    batch = sample(f, 3000, seed=13)
+    for order in range(4):
+        expected = tuple(
+            F(sum(1 for c in batch.codes if all((c >> i) & 1 for i in subset)), 3000)
+            for subset in itertools.combinations(range(3), order)
+        )
+        assert empirical_moments(batch, order) == expected
+    assert empirical_moments(batch, 4) == ()
 
 
 def test_empirical_moments_converge_loosely():

@@ -72,6 +72,18 @@ def test_direct_mode_infeasible_certificate(sym3):
     assert verify_farkas(rows, b, res.certificate)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_direct_rows_match_dense_indicator_system(m):
+    rng = random.Random(m)
+    p = [F(rng.randint(1, 6), 7) for _ in range(m)]
+    mu2 = [F(rng.randint(0, 8), 8) for _ in range(m * (m - 1) // 2)]
+    margin_rows, margin_b = oracles.class_polytope_rows(p)
+    pair_rows, pair_b = oracles.pair_polytope_rows(m, mu2)
+    rows, b = _direct_rows(FrechetClass(p), PairMoments(m, mu2))
+    assert rows == margin_rows[:m] + pair_rows[:-1] + [[F(1)] * (1 << m)]
+    assert b == margin_b[:m] + pair_b[:-1] + [F(1)]
+
+
 def test_fit_matches_vertex_oracle_feasibility():
     rng = random.Random(79)
     for _ in range(12):

@@ -2,10 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from bernray.report import support_labels
-from bernray.tensor import DIFF_2, kron_apply, parse_rational
+from bernray.tensor import DIFF_2, kron_apply, parse_rational, subset_points
 
 
 def test_parse_rational_forms():
@@ -83,3 +85,26 @@ def test_support_order_and_index():
     for j, x in enumerate(pts):
         assert sum(int(bit) << i for i, bit in enumerate(x)) == j
     assert support_labels(3, paper_order=True) == pts[::-1]
+
+
+@st.composite
+def _densities(draw):
+    m = draw(st.integers(1, 5))
+    weights = draw(st.lists(st.integers(0, 9), min_size=1 << m, max_size=1 << m))
+    weights[draw(st.integers(0, (1 << m) - 1))] += 1
+    return m, [Fraction(w, sum(weights)) for w in weights]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_densities())
+def test_subset_points_sum_to_direct_moments(density):
+    m, values = density
+    for order in range(m + 2):
+        sums = [sum(values[j] for j in points) for points in subset_points(m, order)]
+        assert sums == oracles.direct_subset_moments(values, order)
+        if order == 0:
+            assert sums == [1]
+        if order == 1:
+            assert sums == oracles.direct_margins(values)
+        if order == 2:
+            assert sums == oracles.direct_pair_moments(values)
