@@ -23,7 +23,13 @@ ray against every negative one: the negative rays are hashed under the
 subsets of their supports that are just large enough, and each positive ray
 looks up its own (Fukuda & Prodon, "Double description method revisited",
 1996; Terzer & Stelling, 2008). The candidates are exactly the pairs the
-width bound admits, and each still takes the rank test.
+width bound admits.
+
+The rank test of a pair is the rank of the processed rows restricted to the
+union of the two supports. Coordinates whose columns in those rows are equal
+form a class, and a matrix has the rank of its distinct columns, so the rank
+depends only on the classes the union meets. Each row computes it once per
+distinct set of classes, however many pairs share that set.
 """
 from __future__ import annotations
 
@@ -128,7 +134,7 @@ def _primitive(vec: list[int]) -> tuple[int, ...]:
     return tuple(vec)
 
 
-def _int_rank(rows: list[list[int]]) -> int:
+def _int_rank(rows: Sequence[Sequence[int]]) -> int:
     """Rank of a small integer matrix by fraction-free elimination."""
     mat = [row[:] for row in rows]
     rank = 0
@@ -165,17 +171,23 @@ def _double_description(int_rows: list[tuple[int, ...]], n: int) -> list[tuple[i
         rays.append(tuple(e))
         supports.append(1 << j)
 
-    processed: list[tuple[int, ...]] = []
-    for row in int_rows:
-        t = len(processed)
+    # classes[c] is coordinate c's class (equal columns in the processed rows
+    # share one) and columns[k] is class k's column; a rank is taken over the
+    # columns of a class mask as rows, since a transpose keeps the rank
+    classes = [0] * n
+    columns: list[tuple[int, ...]] = [()]
+    for t, row in enumerate(int_rows):
+        class_bit = {1 << c: 1 << k for c, k in enumerate(classes)}
         pos: list[int] = []
         neg: list[int] = []
         keep_rays: list[tuple[int, ...]] = []
         keep_sup: list[int] = []
         values: list[int] = []
+        masks: list[int] = []
         for idx, ray in enumerate(rays):
             s = sum(a * b for a, b in zip(row, ray) if b)
             values.append(s)
+            masks.append(_class_mask(supports[idx], class_bit) if s else 0)
             if s == 0:
                 keep_rays.append(ray)
                 keep_sup.append(supports[idx])
@@ -186,13 +198,25 @@ def _double_description(int_rows: list[tuple[int, ...]], n: int) -> list[tuple[i
 
         new_rays: dict[tuple[int, ...], int] = {}
         room = RAY_CEILING - len(keep_rays)
+        ranks: dict[int, int] = {}
         # the rank test below asks for rank width - 2 of t rows
         for ip, negs in _candidate_pairs(supports, pos, neg, t + 2):
-            sp, rp, vp = supports[ip], rays[ip], values[ip]
+            sp, rp, vp, mp = supports[ip], rays[ip], values[ip], masks[ip]
             for ineg in negs:
                 union = sp | supports[ineg]
-                if t and not _adjacent(processed, union, union.bit_count()):
-                    continue
+                # two extreme rays span a 2-face iff the constraints tight at
+                # both (the processed rows and the shared zero coordinates)
+                # have rank n - 2, that is, iff the processed rows restricted
+                # to the support union have rank (union size) - 2
+                if t:
+                    key = mp | masks[ineg]
+                    rank = ranks.get(key)
+                    if rank is None:
+                        rank = ranks[key] = _int_rank(
+                            [columns[bit.bit_length() - 1] for bit in _bits(key)]
+                        )
+                    if rank != union.bit_count() - 2:
+                        continue
                 vn = -values[ineg]
                 # both terms are >= 0, so the combination's support is the union
                 combo = _primitive([vp * b + vn * a for a, b in zip(rp, rays[ineg])])
@@ -206,10 +230,20 @@ def _double_description(int_rows: list[tuple[int, ...]], n: int) -> list[tuple[i
 
         rays = keep_rays + list(new_rays)
         supports = keep_sup + list(new_rays.values())
-        processed.append(row)
         if not rays:
             break
+        ids: dict[tuple[int, int], int] = {}
+        classes = [ids.setdefault(key, len(ids)) for key in zip(classes, row)]
+        columns = [columns[k] + (v,) for k, v in ids]
     return rays
+
+
+def _class_mask(support: int, class_bit: dict[int, int]) -> int:
+    """The classes a support mask meets, as a mask of class bits."""
+    mask = 0
+    for bit in _bits(support):
+        mask |= class_bit[bit]
+    return mask
 
 
 def _candidate_pairs(supports: list[int], pos: Sequence[int], neg: Sequence[int], width: int):
@@ -261,16 +295,6 @@ def _bits(mask: int) -> list[int]:
         bits.append(low)
         mask ^= low
     return bits
-
-
-def _adjacent(processed: list[tuple[int, ...]], union: int, width: int) -> bool:
-    # Two extreme rays of the current cone span a 2-face iff the constraints
-    # tight at both (processed hyperplanes plus the shared zero coordinates)
-    # have rank n - 2; eliminating the unit rows reduces that to the processed
-    # rows restricted to the support union having rank (union size) - 2.
-    cols = [bit.bit_length() - 1 for bit in _bits(union)]
-    sub = [[row[c] for c in cols] for row in processed]
-    return _int_rank(sub) == width - 2
 
 
 def extreme_rays(matrix: ConstraintMatrix) -> RayMatrix:

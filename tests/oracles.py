@@ -8,10 +8,11 @@ rays, and Kronecker products formed densely. The one exception is
 normalised_rays, which reuses the library's double description and checks
 only what follows it: normalisation to densities and the column order.
 scan_double_description is the double description with the quadratic pair
-scan; it shares only the rank test with the library, whose pair generation
-it checks. column_oracle is the linear-minimization oracle that scans every
-ray column; run under the library's Wolfe loop, it gives the projection that
-the library's vertex-LP oracle must reproduce.
+scan and a per-pair adjacency test by Fraction elimination; it shares no
+adjacency code with the library, whose pair generation and per-class rank
+memo it checks. column_oracle is the linear-minimization oracle that scans
+every ray column; run under the library's Wolfe loop, it gives the
+projection that the library's vertex-LP oracle must reproduce.
 
 build_h2 is an input, not an oracle: the pair-moment cone, a second family
 of constraint matrices for checking the double description against the
@@ -218,13 +219,12 @@ def normalised_rays(matrix):
 
 def scan_double_description(int_rows, n):
     """The double description with the all-pairs scan: every positive ray
-    meets every negative one, and a pair goes on to the library's rank test
-    when its support union has at most t + 2 coordinates, t the rows inserted
-    so far. The library generates those pairs from shared support subsets
-    instead; both must return the same rays in the same order."""
+    meets every negative one, and a pair goes on to its own rank test when
+    its support union has at most t + 2 coordinates, t the rows inserted so
+    far. The library generates those pairs from shared support subsets and
+    computes one rank per set of column classes instead; both must return
+    the same rays in the same order."""
     from math import gcd
-
-    from bernray.cone import _adjacent
 
     rays = [tuple(int(k == j) for k in range(n)) for j in range(n)]
     supports = [1 << j for j in range(n)]
@@ -262,6 +262,18 @@ def scan_double_description(int_rows, n):
         if not rays:
             break
     return rays
+
+
+def _adjacent(processed, union, width):
+    """Two extreme rays of the current cone span a 2-face iff the constraints
+    tight at both (processed hyperplanes plus the shared zero coordinates)
+    have rank n - 2; eliminating the unit rows reduces that to the processed
+    rows restricted to the support union having rank (union size) - 2. The
+    rank is the row count of the Fraction row-reduced form."""
+    cols = [c for c in range(union.bit_length()) if (union >> c) & 1]
+    sub = [[row[c] for c in cols] for row in processed]
+    reduced, _ = _row_reduce(sub, [0] * len(sub))
+    return len(reduced) == width - 2
 
 
 def scan_pairs(pos_supports, neg_supports, width):

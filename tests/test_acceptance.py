@@ -141,7 +141,7 @@ def test_criterion_1_ray_counts(capsys, sym3_rays, mix3_rays, skew3_rays):
 
 @pytest.mark.skipif(
     not os.environ.get("BERNRAY_RUN_M6"),
-    reason="extended benchmark (about 8 minutes); set BERNRAY_RUN_M6=1 to run",
+    reason="extended benchmark (about 30 seconds); set BERNRAY_RUN_M6=1 to run",
 )
 def test_criterion_1_extended_m6(capsys):
     n = margin_rays(FrechetClass([HALF] * 6)).n_rays

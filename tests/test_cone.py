@@ -175,6 +175,48 @@ def test_double_description_matches_scan_oracle_m5():
     assert got == expect
 
 
+# arbitrary integer rows over n coordinates: each coordinate copies one column
+# of a few base rows, so many columns are equal, and the rows inserted are
+# drawn from the base rows with repeats
+RANDOM_ROWS = st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+    st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=1, max_size=4),
+    st.lists(st.integers(0, 3), max_size=6),
+))
+
+
+@settings(max_examples=200, deadline=None)
+@given(RANDOM_ROWS)
+def test_double_description_matches_scan_oracle_on_random_rows(case):
+    n, column_of, base, order = case
+    rows = [tuple(base[r % len(base)][column_of[c]] for c in range(n)) for r in order]
+    assert _double_description(rows, n) == oracles.scan_double_description(rows, n)
+
+
+def test_rank_tests_once_per_class_mask(monkeypatch):
+    # the mixed m=5 class: 28,100 pairs reach the rank test in rows 2-5, but
+    # their support unions meet only 1,634 distinct sets of column classes
+    ranks, pairs = [], []
+    candidates = cone._candidate_pairs
+
+    def rank(rows):
+        ranks.append(rows)
+        return _int_rank(rows)
+
+    def counted(supports, pos, neg, width):
+        for i, negs in candidates(supports, pos, neg, width):
+            if width > 2:
+                pairs.extend(negs)
+            yield i, negs
+
+    monkeypatch.setattr(cone, "_int_rank", rank)
+    monkeypatch.setattr(cone, "_candidate_pairs", counted)
+    assert margin_rays(FrechetClass(["1/3", "1/2", "3/5", "1/4", "2/3"])).n_rays == 15224
+    assert len(pairs) == 28100
+    assert len(ranks) <= 1634
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
     st.lists(st.integers(1, (1 << n) - 1), max_size=12),
