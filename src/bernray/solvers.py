@@ -15,17 +15,19 @@ For unattainable correlation targets, nearest_feasible_correlation returns
 the closest attainable point in the Euclidean correlation metric, exactly:
 Wolfe's minimum-norm-point algorithm over the class polytope, whose vertices
 come one at a time from an exact LP over the 2^m masses. It never enumerates
-rays, so it has no ray cap.
+rays, so it has no ray cap. Its major and minor cycles run in exact integers
+over common scales, fraction-free like the simplex; only the answer becomes
+Fractions, once, at the end.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm, sqrt
+from math import comb, gcd, lcm, sqrt
 from typing import Sequence
 
-from .cone import MomentMap, RayMatrix, moment_rows
+from .cone import MomentMap, RayMatrix
 from .frechet import (
     CorrelationSpec,
     Density,
@@ -235,96 +237,134 @@ def _vertex_oracle(cls: FrechetClass, mu_t: PairMoments):
     """Linear minimization over the class polytope: one exact LP over the
     margin and unit-sum rows of the direct system, with the objective on
     pair moments spread over each pair's points to give one on the 2^m
-    masses. Keys are the vertices in ray form."""
+    masses. A vertex comes back as its key, the vertex in ray form (the
+    primitive integer vector and its total, the lcm of the LP's denominators),
+    its integer pair sums and that total."""
     m = cls.m
     rows, b = _direct_rows(cls, mu_t)
     margin_rows, margin_b = rows[:m] + rows[-1:], b[:m] + b[-1:]
     pair_points = subset_points(m, 2)
 
-    def oracle(c: Sequence[Fraction]) -> tuple[tuple[tuple[int, ...], int], list[Fraction]]:
-        cost = [ZERO] * (1 << m)
+    def oracle(c: Sequence[int]) -> tuple[tuple[tuple[int, ...], int], list[int], int]:
+        cost = [0] * (1 << m)
         for a, points in zip(c, pair_points):
             for j in points:
                 cost[j] += a
-        vertex, total = _integer_vertex(m, solve_lp(margin_rows, margin_b, c=cost).x)
-        return (vertex, total), [row[0] for row in moment_rows(m, [vertex], [total], 2)]
+        x = Density(m, solve_lp(margin_rows, margin_b, c=cost).x).values
+        vertex, total = _over_common_denominator(x)
+        return (tuple(vertex), total), [sum(vertex[j] for j in points) for points in pair_points], total
 
     return oracle
 
 
-def _integer_vertex(m: int, x: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
-    """An LP vertex of the class polytope in ray form: the primitive integer
-    vector x * L and its total L, the lcm of the denominators of x."""
-    values = Density(m, x).values
-    total = lcm(*(v.denominator for v in values))
-    return tuple(v.numerator * (total // v.denominator) for v in values), total
+def _over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of values over their least common denominator."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _lowest_terms(nums: list[int], den: int) -> tuple[list[int], int]:
+    """nums / den with the common factor of all the integers removed."""
+    g = gcd(den, *nums)
+    return [v // g for v in nums], den // g
 
 
 def _wolfe(oracle, weights: Sequence[Fraction], target: Sequence[Fraction]):
     """Wolfe's minimum-norm-point algorithm (Math. Programming 11, 1976) over
     the polytope conv{a} - t in the norm <v, v> = sum_k w_k v_k^2.
 
-    oracle(c) returns (key, a) for a vertex a minimizing c.a. Each major cycle
-    asks it for the vertex y minimizing <x, y - t> at the current point x and
-    stops, exactly, once that is no less than <x, x>: x is then the minimum-
-    norm point. Otherwise y - t joins the corral, and minor cycles move x to
-    the affine minimizer of the corral; while that minimizer has a weight
-    <= 0, x steps back to the boundary of the corral's simplex and the points
-    whose weight reaches 0 leave. Each major cycle lowers <x, x> strictly,
-    so no corral repeats and the loop is finite.
+    oracle(c) returns (key, A, s) for a vertex a = A / s minimizing c.a, with
+    integer sums A and total s > 0. Each major cycle asks it for the vertex y
+    minimizing <x, y - t> at the current point x and stops, exactly, once that
+    is no less than <x, x>: x is then the minimum-norm point. Otherwise y - t
+    joins the corral, and minor cycles move x to the affine minimizer of the
+    corral; while that minimizer has a weight <= 0, x steps back to the
+    boundary of the corral's simplex and the points whose weight reaches 0
+    leave. Each major cycle lowers <x, x> strictly, so no corral repeats and
+    the loop is finite.
+
+    The loop runs in integers over common scales, with no gcd per entry:
+    w = W / w_d and t = t_n / T; a vertex is the integer point
+    u = A T - t_n s, with y - t = u / (s T); the corral's Gram matrix is
+    H_ij = sum W u_i u_j; lambda_k / s_k = r_k / L; and x = X / (L T) with
+    X = sum r_k u_k. The oracle's cost W X is a positive multiple of <x, .>
+    and every test cross-multiplies, so each decision is the one the same
+    loop makes in rationals.
 
     Returns the corral keys, their weights, x, the major-cycle count and the
-    gap <x, x> - min <x, y - t>, which is 0."""
+    gap <x, x> - min <x, y - t>, which is 0; these as exact Fractions."""
+    W, w_d = _over_common_denominator(weights)
+    t_n, T = _over_common_denominator(target)
 
-    def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-        return sum(w * a * b for w, a, b in zip(weights, u, v))
+    def vertex(c: Sequence[int]) -> tuple[object, list[int], list[int], int]:
+        key, A, s = oracle(c)
+        u = [a * T - t * s for a, t in zip(A, t_n)]
+        return key, u, [w * v for w, v in zip(W, u)], s
 
-    key, a = oracle([ZERO] * len(target))  # any vertex starts the corral
-    x = [v - t for v, t in zip(a, target)]
-    keys, points, lam, gram = [key], [x], [ONE], [[dot(x, x)]]
+    key, X, WX, L = vertex([0] * len(target))  # any vertex starts the corral
+    keys, points, scales, r, gram = [key], [X], [L], [1], [[sum(a * b for a, b in zip(WX, X))]]
     cycles = 0
     while True:
         cycles += 1
-        key, a = oracle([w * v for w, v in zip(weights, x)])
-        y = [v - t for v, t in zip(a, target)]
-        xx, xy = dot(x, x), dot(x, y)
-        if xy >= xx:
-            return keys, lam, x, cycles, xx - xy
-        row = [dot(p, y) for p in points]
+        key, u, Wu, s = vertex(WX)
+        xx = sum(a * b for a, b in zip(WX, X))
+        xy = sum(a * b for a, b in zip(WX, u))
+        # <x, x> = xx / (w_d L^2 T^2) and <x, y - t> = xy / (w_d L T^2 s)
+        if xy * L >= xx * s:
+            lam = [Fraction(v * sk, L) for v, sk in zip(r, scales)]
+            x = [Fraction(v, L * T) for v in X]
+            return keys, lam, x, cycles, Fraction(xx * s - xy * L, w_d * L * L * T * T * s)
+        row = [sum(a * b for a, b in zip(Wu, p)) for p in points]
         for g, v in zip(gram, row):
             g.append(v)
-        gram.append(row + [dot(y, y)])
-        keys, points, lam = keys + [key], points + [y], lam + [ZERO]
+        gram.append(row + [sum(a * b for a, b in zip(Wu, u))])
+        keys, points, scales, r = keys + [key], points + [u], scales + [s], r + [0]
         while True:
-            alpha = _affine_minimizer(gram)
-            if all(v > 0 for v in alpha):
-                lam = alpha
+            beta, d = _affine_minimizer(gram, scales)
+            if all(v > 0 for v in beta):
+                r, L = _lowest_terms(beta, d)
                 break
-            theta = min(w / (w - v) for w, v in zip(lam, alpha) if v <= 0)
-            lam = [w + theta * (v - w) for w, v in zip(lam, alpha)]
-            keep = [k for k, w in enumerate(lam) if w > 0]
+            # theta = min lambda_k / (lambda_k - alpha_k) over alpha_k <= 0,
+            # with lambda_k / s_k = r_k d / (L d) and alpha_k / s_k = beta_k L / (L d)
+            th_n = th_d = None
+            for v, b in zip(r, beta):
+                if b <= 0:
+                    num, den = v * d, v * d - b * L
+                    if th_n is None or num * th_d < th_n * den:
+                        th_n, th_d = num, den
+            r, L = _lowest_terms(
+                [(th_d - th_n) * v * d + th_n * b * L for v, b in zip(r, beta)], L * d * th_d
+            )
+            keep = [k for k, v in enumerate(r) if v > 0]
             keys = [keys[k] for k in keep]
             points = [points[k] for k in keep]
-            lam = [lam[k] for k in keep]
+            scales = [scales[k] for k in keep]
+            r = [r[k] for k in keep]
             gram = [[gram[i][j] for j in keep] for i in keep]
-        x = [sum(w * p[i] for w, p in zip(lam, points)) for i in range(len(target))]
+        X = [sum(v * p[i] for v, p in zip(r, points)) for i in range(len(target))]
+        WX = [w * v for w, v in zip(W, X)]
 
 
-def _affine_minimizer(gram: Sequence[Sequence[Fraction]]) -> list[Fraction]:
+def _affine_minimizer(gram: Sequence[Sequence[int]], scales: Sequence[int]) -> tuple[list[int], int]:
     """Affine weights of the minimum-norm point in the affine hull of
-    affinely independent points with Gram matrix gram: the solution alpha of
-    [G 1; 1' 0] [alpha; mu] = [0; 1], by exact Gauss-Jordan elimination."""
+    affinely independent points u_k / s_k, given the integer Gram matrix H of
+    the u_k and the scales s_k > 0: alpha_k = s_k beta_k, where
+    [H -s; s' 0] [beta; nu] = [0; 1]. Solved by fraction-free Gauss-Jordan
+    elimination (Bareiss 1968), in which each step divides exactly by the
+    previous pivot and every diagonal entry ends as the last pivot.
+    Returns the integers b and d > 0 with beta = b / d."""
     n = len(gram)
-    rows = [list(g) + [ONE, ZERO] for g in gram] + [[ONE] * n + [ZERO, ONE]]
+    rows = [list(g) + [-s, 0] for g, s in zip(gram, scales)] + [list(scales) + [0, 1]]
+    prev = 1
     for col in range(n + 1):
         piv = next(r for r in range(col, n + 1) if rows[r][col])
         rows[col], rows[piv] = rows[piv], rows[col]
         pivot_row = rows[col]
-        inv = 1 / pivot_row[col]
-        for j in range(col, n + 2):
-            pivot_row[j] *= inv
+        pv = pivot_row[col]
         for r in range(n + 1):
-            f = rows[r][col]
-            if r != col and f:
-                rows[r] = [v - f * pv for v, pv in zip(rows[r], pivot_row)]
-    return [rows[k][n + 1] for k in range(n)]
+            if r != col:
+                f = rows[r][col]
+                rows[r] = [(v * pv - f * w) // prev for v, w in zip(rows[r], pivot_row)]
+        prev = pv
+    sign = 1 if prev > 0 else -1
+    return [sign * rows[k][n + 1] for k in range(n)], sign * prev

@@ -13,6 +13,9 @@ adjacency code with the library, whose pair generation and per-class rank
 memo it checks. column_oracle is the linear-minimization oracle that scans
 every ray column; run under the library's Wolfe loop, it gives the
 projection that the library's vertex-LP oracle must reproduce.
+fraction_wolfe is Wolfe's loop in Fraction arithmetic, with the affine
+minimizer by Fraction Gauss-Jordan elimination: the reference whose every
+decision the library's integer loop must repeat.
 
 build_h2 is an input, not an oracle: the pair-moment cone, a second family
 of constraint matrices for checking the double description against the
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import lcm, sqrt
+from math import sqrt
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -352,7 +355,8 @@ def grid_projection_distance(columns, weights, target, resolution=8, shrink_roun
 def column_oracle(amap):
     """Linear minimization over the ray columns' pair moments, for Wolfe's
     loop: a scan in integers, ties to the lowest index. amap is the order-2
-    moment map of a ray matrix; keys are column indices."""
+    moment map of a ray matrix; keys are column indices. The cost c is
+    integer, and a column comes back as its integer pair sums and total."""
     columns = list(zip(*amap.entries))
     totals = amap.rays.totals
     # column k is sums[k] / totals[k] with integer sums
@@ -362,15 +366,77 @@ def column_oracle(amap):
     ]
 
     def oracle(c):
-        scale = lcm(*(v.denominator for v in c))
-        ci = [v.numerator * (scale // v.denominator) for v in c]
         k = min(
             range(len(sums)),
-            key=lambda k: Fraction(sum(a * b for a, b in zip(ci, sums[k]) if a), totals[k]),
+            key=lambda k: Fraction(sum(a * b for a, b in zip(c, sums[k]) if a), totals[k]),
         )
-        return k, columns[k]
+        return k, sums[k], totals[k]
 
     return oracle
+
+
+def fraction_wolfe(oracle, weights, target):
+    """Wolfe's minimum-norm-point loop in Fraction arithmetic. oracle is a
+    library-style oracle returning (key, sums, total); it is wrapped to give
+    the loop Fraction pair moments. Returns what the library's _wolfe does:
+    the corral keys, their weights, x, the major-cycle count and the gap."""
+
+    def fraction_oracle(c):
+        key, sums, total = oracle(c)
+        return key, [Fraction(v, total) for v in sums]
+
+    def dot(u, v):
+        return sum(w * a * b for w, a, b in zip(weights, u, v))
+
+    key, a = fraction_oracle([ZERO] * len(target))  # any vertex starts the corral
+    x = [v - t for v, t in zip(a, target)]
+    keys, points, lam, gram = [key], [x], [ONE], [[dot(x, x)]]
+    cycles = 0
+    while True:
+        cycles += 1
+        key, a = fraction_oracle([w * v for w, v in zip(weights, x)])
+        y = [v - t for v, t in zip(a, target)]
+        xx, xy = dot(x, x), dot(x, y)
+        if xy >= xx:
+            return keys, lam, x, cycles, xx - xy
+        row = [dot(p, y) for p in points]
+        for g, v in zip(gram, row):
+            g.append(v)
+        gram.append(row + [dot(y, y)])
+        keys, points, lam = keys + [key], points + [y], lam + [ZERO]
+        while True:
+            alpha = fraction_affine_minimizer(gram)
+            if all(v > 0 for v in alpha):
+                lam = alpha
+                break
+            theta = min(w / (w - v) for w, v in zip(lam, alpha) if v <= 0)
+            lam = [w + theta * (v - w) for w, v in zip(lam, alpha)]
+            keep = [k for k, w in enumerate(lam) if w > 0]
+            keys = [keys[k] for k in keep]
+            points = [points[k] for k in keep]
+            lam = [lam[k] for k in keep]
+            gram = [[gram[i][j] for j in keep] for i in keep]
+        x = [sum(w * p[i] for w, p in zip(lam, points)) for i in range(len(target))]
+
+
+def fraction_affine_minimizer(gram):
+    """Affine weights of the minimum-norm point in the affine hull of
+    affinely independent points with Gram matrix gram: the solution alpha of
+    [G 1; 1' 0] [alpha; mu] = [0; 1], by exact Gauss-Jordan elimination."""
+    n = len(gram)
+    rows = [list(g) + [ONE, ZERO] for g in gram] + [[ONE] * n + [ZERO, ONE]]
+    for col in range(n + 1):
+        piv = next(r for r in range(col, n + 1) if rows[r][col])
+        rows[col], rows[piv] = rows[piv], rows[col]
+        pivot_row = rows[col]
+        inv = 1 / pivot_row[col]
+        for j in range(col, n + 2):
+            pivot_row[j] *= inv
+        for r in range(n + 1):
+            f = rows[r][col]
+            if r != col and f:
+                rows[r] = [v - f * pv for v, pv in zip(rows[r], pivot_row)]
+    return [rows[k][n + 1] for k in range(n)]
 
 
 def projection_certified(p, target, mu2_star, vertices):

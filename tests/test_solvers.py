@@ -22,7 +22,13 @@ from bernray import (
     pair_moments_of,
 )
 from bernray.simplex import verify_farkas
-from bernray.solvers import _direct_rows, _pair_weights, _wolfe
+from bernray.solvers import (
+    _affine_minimizer,
+    _direct_rows,
+    _pair_weights,
+    _vertex_oracle,
+    _wolfe,
+)
 from conftest import MARGINS
 
 F = Fraction
@@ -318,3 +324,129 @@ def _class_and_rho(draw):
 def test_ray_and_direct_projections_agree(case):
     cls, rho = case
     _matches_ray_scan(cls, rho, margin_rays(cls))
+
+
+# Margins p with p(1 - p) of squarefree parts 2, 3, 5, 6, 7, 10 and 15, one
+# pair p, 1 - p per part. Distinct parts make every pair's scale
+# sqrt(p_i q_i p_j q_j) irrational, so each nonzero rho gives a target with
+# the 10^50-scale denominators of exact_sqrt.
+IRRATIONAL_MARGINS = (
+    (F(1, 3), F(2, 3)), (F(1, 4), F(3, 4)), (F(1, 6), F(5, 6)), (F(1, 7), F(6, 7)),
+    (F(1, 8), F(7, 8)), (F(2, 7), F(5, 7)), (F(3, 8), F(5, 8)),
+)
+
+
+@st.composite
+def _irrational_class_and_rho(draw):
+    """A class with m <= 4 whose pair scales are all irrational, and a
+    correlation target in hundredths."""
+    m = draw(st.integers(2, 4))
+    parts = draw(st.lists(
+        st.integers(0, len(IRRATIONAL_MARGINS) - 1), min_size=m, max_size=m, unique=True,
+    ))
+    cls = FrechetClass([IRRATIONAL_MARGINS[k][draw(st.integers(0, 1))] for k in parts])
+    hundredths = st.integers(-100, 100).map(lambda k: F(k, 100))
+    rho = draw(st.lists(hundredths, min_size=m * (m - 1) // 2, max_size=m * (m - 1) // 2))
+    return cls, CorrelationSpec(m, rho)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_irrational_class_and_rho())
+def test_integer_wolfe_matches_fraction_reference(case):
+    # the same loop in Fractions makes every decision the integer loop makes,
+    # so both return the same corral, weights, point, cycle count and gap
+    cls, rho = case
+    target = mu2_from_rho(cls, rho)
+    weights = _pair_weights(cls)
+    oracle = _vertex_oracle(cls, target)
+    got = _wolfe(oracle, weights, target.values)
+    assert got == oracles.fraction_wolfe(oracle, weights, target.values)
+    assert got[4] == 0
+
+
+def test_fraction_free_minimizer_matches_fraction_gauss_jordan():
+    # random integer corrals u_k / s_k: alpha_k = s_k b_k / d against the
+    # Fraction elimination on the Gram matrix of the points u_k / s_k
+    rng = random.Random(89)
+    for _ in range(40):
+        n = rng.randint(1, 7)
+        dim = rng.randint(n, n + 3)
+        weights = [rng.randint(1, 10**6) for _ in range(dim)]
+        points = [[rng.randint(-10**40, 10**40) for _ in range(dim)] for _ in range(n)]
+        scales = [rng.randint(1, 10**12) for _ in range(n)]
+        gram = [[sum(w * a * b for w, a, b in zip(weights, u, v)) for v in points] for u in points]
+        b, d = _affine_minimizer(gram, scales)
+        assert d > 0
+        reference = oracles.fraction_affine_minimizer(
+            [[F(g, si * sj) for g, sj in zip(row, scales)] for row, si in zip(gram, scales)]
+        )
+        assert [F(s * v, d) for s, v in zip(scales, b)] == reference
+
+
+# Recorded with the Fraction loop: (margins, rho, major cycles, distance^2,
+# lambda, the density's nonzero masses by support index).
+GOLDEN_PROJECTIONS = {
+    "project_m4_rays": (
+        ("2/3", "1/4", "1/5", "4/5"),
+        ("-0.78", "0.12", "0.04", "0.38", "-0.85", "-0.93"),
+        6,
+        "55712256015118350743738221567136048862230755137271715373971877958651419058735712"
+        "8160833557887751463481537/335" + "0" * 103,
+        (
+            "406460317020235163402033778505480910568202575691516013/1256250" + "0" * 48,
+            "1531236299775989780129697518932708434744521388733390997/67" + "0" * 53,
+            "33278058019613235918555093771637641665141485171468231/209375" + "0" * 48,
+            "9293171933544635835195324776059146442914579274039393/3216" + "0" * 49,
+        ),
+        {
+            2: "33278058019613235918555093771637641665141485171468231/1046875" + "0" * 48,
+            5: "1531236299775989780129697518932708434744521388733390997/335" + "0" * 53,
+            6: "406460317020235163402033778505480910568202575691516013/628125" + "0" * 49,
+            7: "9293171933544635835195324776059146442914579274039393/1608" + "0" * 50,
+            8: "7564390644514878611731774925353048814304859758013131/536" + "0" * 50,
+            9: "1112570105673411721134011259501826970189400858563838671/209375" + "0" * 49,
+            10: "3206236299775989780129697518932708434744521388733390997/335" + "0" * 53,
+            13: "33278058019613235918555093771637641665141485171468231/1046875" + "0" * 48,
+        },
+    ),
+    "project_m4_direct": (
+        ("2/3", "1/4", "2/3", "2/5"),
+        ("-0.65", "0.59", "0.50", "-0.05", "0.45", "-0.70"),
+        8,
+        "12748570128332317396573130031294741273807585640451400730774278515078962719473390"
+        "679275594924448931169358730993/461656" + "0" * 104,
+        (
+            "753003285489942302903709735166412226860237153264951314481/3116178" + "0" * 51,
+            "2689976995693296725955387076868196931179819614372309685703/12464712" + "0" * 51,
+            "870449246730959874527067266628061570692586296141637/216748046875" + "0" * 40,
+            "5092626844737616554659443416283373129349094440861731197/361296" + "0" * 50,
+        ),
+        {
+            0: "15939723523996476985458781537197264620555818368691023149/173121" + "0" * 51,
+            4: "20168609559245719090162420655210778135998967501841291029/3693248" + "0" * 50,
+            5: "9547285240192879623581201799884184712077758888424911/26009765625" + "0" * 42,
+            6: "31855168397617675555138356481372905993824218567391283339/3693248" + "0" * 50,
+            9: "1625743061151981082665649285518240129056974564663517949/115414" + "0" * 50,
+            10: "870449246730959874527067266628061570692586296141637/8669921875" + "0" * 42,
+            13: "35230110440754280909837579344789221864001032498158708971/3693248" + "0" * 50,
+            15: "116981432052191016629039106339491379965923566775244035401/1846624" + "0" * 51,
+        },
+    ),
+    "sym6_rho_minus_0.9": (
+        ("1/2",) * 6, ("-0.9",) * 15, 12, "147/20", ("1/10",) * 10,
+        # mass 1/20 on each of the 20 points with three coordinates on
+        {j: "1/20" for j in range(64) if j.bit_count() == 3},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_PROJECTIONS))
+def test_golden_projections(name):
+    p, rho, cycles, dist_sq, lam, masses = GOLDEN_PROJECTIONS[name]
+    cls = FrechetClass([F(v) for v in p])
+    res = nearest_feasible_correlation(cls, CorrelationSpec(cls.m, [F(v) for v in rho]))
+    assert res.status == "projected" and res.gap == 0
+    assert res.iterations == cycles
+    assert res.distance_sq == F(dist_sq)
+    assert res.lam == tuple(F(v) for v in lam)
+    assert res.density.values == tuple(F(masses.get(j, 0)) for j in range(1 << cls.m))
