@@ -23,10 +23,10 @@ from .cone import DimensionCapError, margin_rays, moment_map
 from .frechet import mu2_from_rho, rho_from_mu2, theta_from_density
 from .report import (
     DEFAULT_PRECISION,
-    MAX_DRAWS,
     MAX_PRECISION,
     ProblemSpec,
     SpecError,
+    check_draw_options,
     json_text,
     order_note,
     parse_density_payload,
@@ -317,15 +317,10 @@ def run(args) -> tuple[dict, int]:
     spec = parse_problem_spec(_load_json(args.input))
     if args.mode:
         spec.mode = args.mode
+    check_draw_options("--", args.seed, args.n)
     if args.seed is not None:
-        if not 0 <= args.seed < 1 << 64:
-            raise SpecError("--seed: must fit in 64 bits")
         spec.seed = args.seed
     if args.n is not None:
-        if args.n < 1:
-            raise SpecError("--n: must be >= 1")
-        if args.n > MAX_DRAWS:
-            raise SpecError(f"--n: must be at most {MAX_DRAWS}")
         spec.n = args.n
     precision = args.precision
     if not 1 <= precision <= MAX_PRECISION:

@@ -9,7 +9,8 @@ Enumeration is the double description method run over exact integers:
 start from the nonnegative orthant (unit rays), insert the hyperplanes one at
 a time in ascending row order, combine adjacent rays across the hyperplane,
 decide adjacency by an exact rank test on the tight constraints, and gcd-reduce
-every ray to its primitive integer representative. No floats anywhere.
+every ray to its primitive integer representative (tensor.primitive). No
+floats anywhere.
 
 The rays stay in that form: a primitive integer vector and its total, the
 density being vector / total. Sorting (on one packed integer key per ray),
@@ -37,11 +38,11 @@ import itertools
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Sequence
 
 from .frechet import FrechetClass
-from .tensor import subset_points
+from .tensor import over_common_denominator, primitive, subset_points
 
 #: Largest m for ray enumeration: m=6 already has 707,264 rays.
 DIMENSION_CAP = 6
@@ -120,22 +121,14 @@ class MomentMap:
 
 
 def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[tuple[int, ...]]:
-    out = []
-    for row in rows:
-        denom = lcm(*(v.denominator for v in row))
-        out.append(_primitive([int(v * denom) for v in row]))
-    return out
-
-
-def _primitive(vec: list[int]) -> tuple[int, ...]:
-    g = gcd(*vec)
-    if g > 1:
-        return tuple([v // g for v in vec])
-    return tuple(vec)
+    return [primitive(over_common_denominator(row)[0]) for row in rows]
 
 
 def _int_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of a small integer matrix by fraction-free elimination."""
+    """Rank of a small integer matrix by forward elimination without
+    division. Not tensor.pivot: only the rank is wanted, and on these small
+    matrices the shared Gauss-Jordan pivot, which also clears the rows above
+    and divides by the previous pivot, doubled the time of the rank tests."""
     mat = [row[:] for row in rows]
     rank = 0
     cols = len(mat[0]) if mat else 0
@@ -219,7 +212,7 @@ def _double_description(int_rows: list[tuple[int, ...]], n: int) -> list[tuple[i
                         continue
                 vn = -values[ineg]
                 # both terms are >= 0, so the combination's support is the union
-                combo = _primitive([vp * b + vn * a for a, b in zip(rp, rays[ineg])])
+                combo = primitive([vp * b + vn * a for a, b in zip(rp, rays[ineg])])
                 new_rays.setdefault(combo, union)
             if len(new_rays) > room:
                 raise DimensionCapError(
@@ -336,25 +329,17 @@ def _sort_keys(vectors: list[tuple[int, ...]], totals: list[int], n: int) -> lis
     return [int.from_bytes(p, "big") * (scale // total) for p, total in zip(packed, totals)]
 
 
-def moment_rows(
-    m: int, vectors: Sequence[Sequence[int]], totals: Sequence[int], order: int
-) -> list[tuple[Fraction, ...]]:
-    """Raw moments of the given interaction order for the columns
-    vectors[k] / totals[k]: one row per coordinate subset, in the order of
-    tensor.subset_points, whose entry is the column's integer sum over that
-    subset's points over its total. An order above m has no subsets and
-    gives no rows."""
-    return [
-        tuple(Fraction(sum(vec[j] for j in points), total) for vec, total in zip(vectors, totals))
-        for points in subset_points(m, order)
-    ]
-
-
 def moment_map(rays: RayMatrix, order: int) -> MomentMap:
-    """Raw moments of the given interaction order for every ray column."""
+    """Raw moments of the given interaction order for every ray column: one
+    row per coordinate subset, in the order of tensor.subset_points, whose
+    entry is the ray's integer sum over that subset's points over its total.
+    An order above m has no subsets and gives no rows."""
     if order < 1:
         raise ValueError(f"moment order {order} is below 1")
-    entries = tuple(moment_rows(rays.m, rays.vectors, rays.totals, order))
+    entries = tuple(
+        tuple(Fraction(sum(vec[j] for j in points), total) for vec, total in zip(rays.vectors, rays.totals))
+        for points in subset_points(rays.m, order)
+    )
     return MomentMap(rays.m, order, entries, rays)
 
 

@@ -93,6 +93,18 @@ def _want_int(obj: dict, key: str, path: str) -> int:
     return v
 
 
+def check_draw_options(prefix: str, seed: int | None, n: int | None) -> None:
+    """Range checks of a sampler seed and a sample size given as prefix +
+    "seed" and prefix + "n" (options.n, --n): the seed must fit in 64 bits
+    and n must be in 1..MAX_DRAWS. None is not checked."""
+    if seed is not None and not 0 <= seed < 1 << 64:
+        raise SpecError(f"{prefix}seed: must fit in 64 bits, got {seed}")
+    if n is not None and n < 1:
+        raise SpecError(f"{prefix}n: must be >= 1, got {n}")
+    if n is not None and n > MAX_DRAWS:
+        raise SpecError(f"{prefix}n: must be at most {MAX_DRAWS}, got {n}")
+
+
 def _rational_array(raw: Any, path: str, expected: int) -> tuple[Fraction, ...]:
     if not isinstance(raw, list):
         raise SpecError(f"{path}: expected an array of rational strings")
@@ -149,15 +161,10 @@ def parse_problem_spec(obj: Any) -> ProblemSpec:
     seed = options.get("seed")
     if seed is not None:
         seed = _want_int(options, "seed", "options.seed")
-        if not 0 <= seed < 1 << 64:
-            raise SpecError(f"options.seed: must fit in 64 bits, got {seed}")
     n = options.get("n")
     if n is not None:
         n = _want_int(options, "n", "options.n")
-        if n < 1:
-            raise SpecError(f"options.n: must be >= 1, got {n}")
-        if n > MAX_DRAWS:
-            raise SpecError(f"options.n: must be at most {MAX_DRAWS}, got {n}")
+    check_draw_options("options.", seed, n)
     return ProblemSpec(m, p, rho, mu2, mode, objective, seed, n, obj.get("density"))
 
 

@@ -7,16 +7,15 @@ cycle-free. Infeasibility comes back with a rational Farkas certificate y
 (y.A >= 0 componentwise, y.b < 0) that is re-verified in exact arithmetic
 against the caller's rows before it is returned.
 
-The tableau is fraction-free (Edmonds 1967, Bareiss 1968): integer rows T
-and one shared positive denominator D = |det B| of the current basis B,
-with the invariant T / D = B^-1 [A' | I | b'] and the objective row held
-over the same D. A pivot on entry pv computes every other entry as
-(a*pv - f*w) // D, a division that is always exact, after which D = |pv|
-(the pivot row is negated first when pv < 0, which only the artificial
-drive-out can meet). No gcd is taken per entry.
+The tableau is fraction-free: integer rows T and one shared positive
+denominator D = |det B| of the current basis B, with the invariant
+T / D = B^-1 [A' | I | b'] and the objective row held over the same D. Each
+pivot is tensor.pivot on the rows followed by tensor.eliminate on the
+objective row; a negative pivot, which only the artificial drive-out can
+meet, negates its row first. No gcd is taken per entry.
 
-A' and b' make the input integer: column j is multiplied by the positive lcm
-t_j of its denominators and b by the lcm L of its own, so that
+A' and b' are the input in tensor's integer form: column j over the positive
+lcm t_j of its denominators and b over the lcm L of its own, so that
 x_j = t_j x'_j / L. Rows are never scaled beyond the sign flip that makes b
 nonnegative. A positive column scale multiplies column j's reduced cost by
 t_j and every ratio of a ratio test by the same L / t_j, so each sign and
@@ -28,8 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
+
+from .tensor import eliminate, over_common_denominator, pivot
 
 ZERO = Fraction(0)
 
@@ -77,18 +77,16 @@ def solve_lp(
     if len(cost) != ncols:
         raise ValueError("objective length does not match columns")
 
-    frows = [[Fraction(v) for v in r] for r in rows]
-    fb = [Fraction(v) for v in b]
-    scale = [lcm(*(r[j].denominator for r in frows)) for j in range(ncols)]
-    b_scale = lcm(*(v.denominator for v in fb))
+    columns = [over_common_denominator([Fraction(v) for v in col]) for col in zip(*rows)]
+    scale = [t for _, t in columns]
+    b_ints, b_scale = over_common_denominator([Fraction(v) for v in b])
     # Sign-adjust so the right-hand side is nonnegative; remember the flips
     # to map the certificate back to the caller's row orientation.
-    flip = [-1 if v < 0 else 1 for v in fb]
+    flip = [-1 if v < 0 else 1 for v in b_ints]
     tab = []
-    for i, (r, s, bi) in enumerate(zip(frows, flip, fb)):
-        row = [s * v.numerator * (t // v.denominator) for v, t in zip(r, scale)]
-        row += [0] * nrows
-        row.append(s * bi.numerator * (b_scale // bi.denominator))
+    for i, (s, bi) in enumerate(zip(flip, b_ints)):
+        row = [s * col[i] for col, _ in columns] + [0] * nrows
+        row.append(s * bi)
         row[ncols + i] = 1
         tab.append(row)
 
@@ -117,9 +115,7 @@ def solve_lp(
     # enter again, so they leave the tableau. The reduced-cost row is taken
     # against the current basis (artificials cost 0) and the drive-out
     # pivots below keep it current.
-    scaled = [ci * t for ci, t in zip(cost, scale)]
-    c_scale = lcm(*(v.denominator for v in scaled))
-    c2 = [v.numerator * (c_scale // v.denominator) for v in scaled] + [0]
+    c2 = over_common_denominator([ci * t for ci, t in zip(cost, scale)])[0] + [0]
     lp.rows = [r[:ncols] + [r[total]] for r in lp.rows]
     lp.obj = [lp.den * cj for cj in c2]
     for r, bi in zip(lp.rows, lp.basis):
@@ -192,25 +188,7 @@ class _Tableau:
             pivots += 1
 
     def pivot(self, row: int, col: int) -> None:
-        rows, den = self.rows, self.den
-        pr = rows[row]
-        pv = pr[col]
-        if pv < 0:
-            pr = rows[row] = [-w for w in pr]
-            pv = -pv
-        for i, r in enumerate(rows):
-            if i != row:
-                rows[i] = _eliminate(r, pr, pv, den, col)
-        self.obj = _eliminate(self.obj, pr, pv, den, col)
+        den = self.den
+        self.den = pivot(self.rows, den, row, col)
+        self.obj = eliminate(self.obj, self.rows[row], self.den, den, col)
         self.basis[row] = col
-        self.den = pv
-
-
-def _eliminate(r: list[int], pr: list[int], pv: int, den: int, col: int) -> list[int]:
-    """One fraction-free elimination step: (a*pv - f*w) / den, exactly."""
-    f = r[col]
-    if f:
-        return [(a * pv - f * w) // den for a, w in zip(r, pr)]
-    if pv == den:
-        return r
-    return [a * pv // den for a in r]

@@ -15,16 +15,17 @@ For unattainable correlation targets, nearest_feasible_correlation returns
 the closest attainable point in the Euclidean correlation metric, exactly:
 Wolfe's minimum-norm-point algorithm over the class polytope, whose vertices
 come one at a time from an exact LP over the 2^m masses. It never enumerates
-rays, so it has no ray cap. Its major and minor cycles run in exact integers
-over common scales, fraction-free like the simplex; only the answer becomes
-Fractions, once, at the end.
+rays, so it has no ray cap. Its major and minor cycles run in exact integers,
+in tensor's integer form: common denominators, gcd reduction and the
+fraction-free pivot the simplex uses. Only the answer becomes Fractions,
+once, at the end.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm, sqrt
+from math import comb, sqrt
 from typing import Sequence
 
 from .cone import MomentMap, RayMatrix
@@ -37,7 +38,7 @@ from .frechet import (
     rho_from_mu2,
 )
 from .simplex import solve_lp
-from .tensor import subset_points
+from .tensor import over_common_denominator, pivot, primitive, subset_points
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -251,22 +252,10 @@ def _vertex_oracle(cls: FrechetClass, mu_t: PairMoments):
             for j in points:
                 cost[j] += a
         x = Density(m, solve_lp(margin_rows, margin_b, c=cost).x).values
-        vertex, total = _over_common_denominator(x)
+        vertex, total = over_common_denominator(x)
         return (tuple(vertex), total), [sum(vertex[j] for j in points) for points in pair_points], total
 
     return oracle
-
-
-def _over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integer numerators of values over their least common denominator."""
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
-def _lowest_terms(nums: list[int], den: int) -> tuple[list[int], int]:
-    """nums / den with the common factor of all the integers removed."""
-    g = gcd(den, *nums)
-    return [v // g for v in nums], den // g
 
 
 def _wolfe(oracle, weights: Sequence[Fraction], target: Sequence[Fraction]):
@@ -293,8 +282,8 @@ def _wolfe(oracle, weights: Sequence[Fraction], target: Sequence[Fraction]):
 
     Returns the corral keys, their weights, x, the major-cycle count and the
     gap <x, x> - min <x, y - t>, which is 0; these as exact Fractions."""
-    W, w_d = _over_common_denominator(weights)
-    t_n, T = _over_common_denominator(target)
+    W, w_d = over_common_denominator(weights)
+    t_n, T = over_common_denominator(target)
 
     def vertex(c: Sequence[int]) -> tuple[object, list[int], list[int], int]:
         key, A, s = oracle(c)
@@ -322,7 +311,7 @@ def _wolfe(oracle, weights: Sequence[Fraction], target: Sequence[Fraction]):
         while True:
             beta, d = _affine_minimizer(gram, scales)
             if all(v > 0 for v in beta):
-                r, L = _lowest_terms(beta, d)
+                *r, L = primitive(beta + [d])
                 break
             # theta = min lambda_k / (lambda_k - alpha_k) over alpha_k <= 0,
             # with lambda_k / s_k = r_k d / (L d) and alpha_k / s_k = beta_k L / (L d)
@@ -332,8 +321,8 @@ def _wolfe(oracle, weights: Sequence[Fraction], target: Sequence[Fraction]):
                     num, den = v * d, v * d - b * L
                     if th_n is None or num * th_d < th_n * den:
                         th_n, th_d = num, den
-            r, L = _lowest_terms(
-                [(th_d - th_n) * v * d + th_n * b * L for v, b in zip(r, beta)], L * d * th_d
+            *r, L = primitive(
+                [(th_d - th_n) * v * d + th_n * b * L for v, b in zip(r, beta)] + [L * d * th_d]
             )
             keep = [k for k, v in enumerate(r) if v > 0]
             keys = [keys[k] for k in keep]
@@ -349,22 +338,15 @@ def _affine_minimizer(gram: Sequence[Sequence[int]], scales: Sequence[int]) -> t
     """Affine weights of the minimum-norm point in the affine hull of
     affinely independent points u_k / s_k, given the integer Gram matrix H of
     the u_k and the scales s_k > 0: alpha_k = s_k beta_k, where
-    [H -s; s' 0] [beta; nu] = [0; 1]. Solved by fraction-free Gauss-Jordan
-    elimination (Bareiss 1968), in which each step divides exactly by the
-    previous pivot and every diagonal entry ends as the last pivot.
-    Returns the integers b and d > 0 with beta = b / d."""
+    [H -s; s' 0] [beta; nu] = [0; 1]. Solved by n + 1 fraction-free
+    Gauss-Jordan pivots (tensor.pivot), after which every diagonal entry
+    equals the final denominator d > 0.
+    Returns the integers b and d with beta = b / d."""
     n = len(gram)
     rows = [list(g) + [-s, 0] for g, s in zip(gram, scales)] + [list(scales) + [0, 1]]
-    prev = 1
+    den = 1
     for col in range(n + 1):
         piv = next(r for r in range(col, n + 1) if rows[r][col])
         rows[col], rows[piv] = rows[piv], rows[col]
-        pivot_row = rows[col]
-        pv = pivot_row[col]
-        for r in range(n + 1):
-            if r != col:
-                f = rows[r][col]
-                rows[r] = [(v * pv - f * w) // prev for v, w in zip(rows[r], pivot_row)]
-        prev = pv
-    sign = 1 if prev > 0 else -1
-    return [sign * rows[k][n + 1] for k in range(n)], sign * prev
+        den = pivot(rows, den, col, col)
+    return [rows[k][n + 1] for k in range(n)], den

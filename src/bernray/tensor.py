@@ -1,9 +1,15 @@
-"""Exact rational scalars and their text at any size, Kronecker-structured
-2x2 stencils, the canonical ordering of the binary support {0,1}^m, and the
-support points under each coordinate subset.
+"""Exact rational scalars and their text at any size, their integer form,
+Kronecker-structured 2x2 stencils, the canonical ordering of the binary
+support {0,1}^m, and the support points under each coordinate subset.
 
-Everything here is exact. Scalars are fractions.Fraction throughout; no floats
-enter or leave this module.
+Everything here is exact. Scalars are Fractions or integers; no floats enter
+or leave this module.
+
+The integer form is the one the simplex, Wolfe's projection and the double
+description share: rationals over one common denominator, integer vectors
+reduced by the gcd of their entries, and the fraction-free Gauss-Jordan pivot
+(Edmonds 1967; Bareiss, Math. Comp. 22, 1968) on integer rows over one shared
+positive denominator.
 
 Support ordering convention used across the whole package: index j in
 0..2^m-1 corresponds to the point x with x_i = bit (i-1) of j, so coordinate 1
@@ -13,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 #: Largest m that any command accepts; checked when a problem file is read,
@@ -76,6 +83,49 @@ def exact_text(x: Fraction | int) -> str:
     """str(x) of an exact rational, at any size."""
     n, d = x.numerator, x.denominator
     return _int_text(n) if d == 1 else f"{_int_text(n)}/{_int_text(d)}"
+
+
+def over_common_denominator(values: Sequence[Fraction | int]) -> tuple[list[int], int]:
+    """Integer numerators of values over their least common denominator."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def primitive(ints: Sequence[int]) -> tuple[int, ...]:
+    """The integers divided by their greatest common divisor (as given when
+    that is 0 or 1)."""
+    g = gcd(*ints)
+    if g > 1:
+        return tuple([v // g for v in ints])
+    return tuple(ints)
+
+
+def pivot(rows: list[list[int]], den: int, row: int, col: int) -> int:
+    """One fraction-free Gauss-Jordan pivot on entry pv = rows[row][col] of
+    integer rows held over the shared denominator den > 0; returns the new
+    denominator |pv|. The pivot row is negated first when pv < 0, so the
+    denominator stays positive; every other row is replaced by eliminate."""
+    pr = rows[row]
+    pv = pr[col]
+    if pv < 0:
+        pr = rows[row] = [-w for w in pr]
+        pv = -pv
+    for i, r in enumerate(rows):
+        if i != row:
+            rows[i] = eliminate(r, pr, pv, den, col)
+    return pv
+
+
+def eliminate(r: list[int], pr: list[int], pv: int, den: int, col: int) -> list[int]:
+    """Row r after a pivot on entry pv > 0 in column col of row pr, both
+    over den: (a*pv - f*w) // den with f = r[col], a division that is always
+    exact. No gcd is taken."""
+    f = r[col]
+    if f:
+        return [(a * pv - f * w) // den for a, w in zip(r, pr)]
+    if pv == den:
+        return r
+    return [a * pv // den for a in r]
 
 
 Stencil = tuple[RationalLike, RationalLike, RationalLike, RationalLike]

@@ -7,7 +7,15 @@ from hypothesis import strategies as st
 
 import oracles
 from bernray.report import support_labels
-from bernray.tensor import DIFF_2, kron_apply, parse_rational, subset_points
+from bernray.tensor import (
+    DIFF_2,
+    kron_apply,
+    over_common_denominator,
+    parse_rational,
+    pivot,
+    primitive,
+    subset_points,
+)
 
 
 def test_parse_rational_forms():
@@ -108,3 +116,50 @@ def test_subset_points_sum_to_direct_moments(density):
             assert sums == oracles.direct_margins(values)
         if order == 2:
             assert sums == oracles.direct_pair_moments(values)
+
+
+def test_over_common_denominator_mixed_input():
+    values = [Fraction(1, 6), 2, Fraction(-3, 4), 0, Fraction(5, 9)]
+    ints, den = over_common_denominator(values)
+    assert den == 36
+    assert ints == [6, 72, -27, 0, 20]
+    assert [Fraction(v, den) for v in ints] == values
+    assert over_common_denominator([3, -1]) == ([3, -1], 1)
+    assert over_common_denominator([]) == ([], 1)
+
+
+def test_primitive_divides_out_the_gcd():
+    assert primitive([6, -9, 0, 12]) == (2, -3, 0, 4)
+    # a mixed int/Fraction row in lowest integer terms, as the cone's rows are made
+    assert primitive(over_common_denominator([Fraction(2, 3), 4, Fraction(-8, 9)])[0]) == (3, 18, -4)
+    assert primitive([5, 7]) == (5, 7)
+    assert primitive([0, 0]) == (0, 0)
+    assert primitive([]) == ()
+    # the sign is kept: only a positive common factor is removed
+    assert primitive([-4, -8]) == (-1, -2)
+
+
+def test_pivot_solves_like_fraction_gauss_jordan():
+    # pivoting [A | b] column by column leaves every diagonal entry equal to
+    # the returned denominator, so x = b' / den; negative pivots negate their
+    # row and the denominator stays positive after every step
+    rng = random.Random(19)
+    negative_pivots = 0
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        rhs = [rng.randint(-20, 20) for _ in range(n)]
+        reference = oracles.solve_square(a, rhs)
+        if reference is None:
+            continue
+        rows = [row + [v] for row, v in zip(a, rhs)]
+        den = 1
+        for col in range(n):
+            k = next(r for r in range(col, n) if rows[r][col])
+            rows[col], rows[k] = rows[k], rows[col]
+            negative_pivots += rows[col][col] < 0
+            den = pivot(rows, den, col, col)
+            assert den > 0
+            assert all(rows[r][r] == den for r in range(col + 1))
+        assert [Fraction(row[n], den) for row in rows] == reference
+    assert negative_pivots > 20
