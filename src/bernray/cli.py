@@ -33,6 +33,7 @@ from .report import (
     parse_problem_spec,
     rational_field,
     rays_csv_text,
+    rays_field,
     reorder_support,
     sample_csv_text,
     support_labels,
@@ -128,13 +129,9 @@ def _rays(args, spec: ProblemSpec, cls, report: dict) -> int:
     report["status"] = "ok"
     report["kind"] = "margins"
     report["ray_count"] = rays.n_rays
-    cells: dict = {}  # shared, so each distinct (entry, total) renders once
-    report["rays"] = [
-        vector_field(reorder_support(vec, args.paper_order), args.precision, total, cells)
-        for vec, total in zip(rays.vectors, rays.totals)
-    ]
+    report["rays"] = rays_field(rays, args.precision, args.paper_order)
     if args.csv is not None:
-        text = rays_csv_text(rays.vectors, rays.totals, spec.m, args.paper_order)
+        text = rays_csv_text(rays, args.paper_order)
         _save(_write_atomic, text, args.csv)
         report["csv_path"] = args.csv
     return EXIT_OK

@@ -12,10 +12,16 @@ decide adjacency by an exact rank test on the tight constraints, and gcd-reduce
 every ray to its primitive integer representative (tensor.primitive). No
 floats anywhere.
 
-The rays stay in that form: a primitive integer vector and its total, the
-density being vector / total. Sorting (on one packed integer key per ray),
-moment maps and mixtures work on the integers; a Fraction is made once per
-moment entry.
+Rays are sparse. With the m margin rows of rank m, an extreme ray has at most
+m + 1 nonzero masses out of 2^m, so a ray is held as its support mask and the
+tuple of its nonzero entries, lowest coordinate first. The row product, the
+combination of two rays and the gcd touch those entries only: the support of
+a combination with positive coefficients is the union of the two supports,
+so the combination merges the two entry lists over the union's coordinates.
+The density of a ray is its integer vector over its total. Sorting (on one
+packed integer key per ray), moment maps, mixtures and the rays report read
+the sparse entries; only RayMatrix.column_values() builds dense densities,
+and a Fraction is made once per moment entry.
 
 After t rows, two rays can be adjacent only if their supports have a union of
 at most t + 2 coordinates, so only pairs sharing enough coordinates are
@@ -35,14 +41,13 @@ distinct set of classes, however many pairs share that set.
 from __future__ import annotations
 
 import itertools
-import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
 from .frechet import FrechetClass
-from .tensor import over_common_denominator, primitive, subset_points
+from .tensor import bit_positions, over_common_denominator, primitive, subset_points
 
 #: Largest m for ray enumeration: m=6 already has 707,264 rays.
 DIMENSION_CAP = 6
@@ -82,26 +87,32 @@ def build_h(cls: FrechetClass) -> ConstraintMatrix:
 
 @dataclass(frozen=True)
 class RayMatrix:
-    """Extreme rays of a constraint cone as primitive integer vectors.
+    """Extreme rays of a constraint cone as sparse primitive integer vectors.
 
-    Column k is the density vectors[k] / totals[k], where totals[k] =
-    sum(vectors[k]) > 0 and every entry is >= 0. Columns are sorted
-    lexicographically by those density values; `column_values()` derives
-    the exact densities on demand."""
+    Ray k is supported on the coordinates set in the mask supports[k], and
+    entries[k] holds its nonzero values there, lowest coordinate first, each
+    > 0 and with gcd 1. Its density is that vector over totals[k] =
+    sum(entries[k]). Rays are sorted lexicographically by their dense
+    density values; `column_values()` derives those exact densities on
+    demand, the one place the 2^m cells of a ray are formed."""
 
     m: int
-    vectors: tuple[tuple[int, ...], ...]
+    supports: tuple[int, ...]
+    entries: tuple[tuple[int, ...], ...]
     totals: tuple[int, ...]
 
     @property
     def n_rays(self) -> int:
-        return len(self.vectors)
+        return len(self.totals)
 
     def column_values(self) -> list[tuple[Fraction, ...]]:
-        return [
-            tuple(Fraction(v, total) for v in vec)
-            for vec, total in zip(self.vectors, self.totals)
-        ]
+        columns = []
+        for support, entries, total in zip(self.supports, self.entries, self.totals):
+            col = [Fraction(0)] * (1 << self.m)
+            for c, v in zip(bit_positions(support), entries):
+                col[c] = Fraction(v, total)
+            columns.append(tuple(col))
+        return columns
 
 
 @dataclass(frozen=True)
@@ -117,7 +128,7 @@ class MomentMap:
 
 
 # ---------------------------------------------------------------------------
-# double description over primitive integer vectors
+# double description over sparse primitive integer vectors
 
 
 def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[tuple[int, ...]]:
@@ -152,17 +163,16 @@ def _int_rank(rows: Sequence[Sequence[int]]) -> int:
     return rank
 
 
-def _double_description(int_rows: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
-    """Extreme rays of {f >= 0 : row . f = 0 for every row}, as primitive
-    integer vectors. Rows are inserted in the order given. Refuses, with
-    DimensionCapError, a row whose rays would pass RAY_CEILING."""
-    rays: list[tuple[int, ...]] = []
-    supports: list[int] = []
-    for j in range(n):
-        e = [0] * n
-        e[j] = 1
-        rays.append(tuple(e))
-        supports.append(1 << j)
+def _double_description(
+    int_rows: list[tuple[int, ...]], n: int
+) -> tuple[list[int], list[tuple[int, ...]]]:
+    """Extreme rays of {f >= 0 : row . f = 0 for every row} as sparse
+    primitive integer vectors: their support masks and their entries on
+    them, lowest coordinate first. Rows are inserted in the order given.
+    Refuses, with DimensionCapError, a row whose rays would pass
+    RAY_CEILING."""
+    supports = [1 << j for j in range(n)]
+    rays: list[tuple[int, ...]] = [(1,)] * n
 
     # classes[c] is coordinate c's class (equal columns in the processed rows
     # share one) and columns[k] is class k's column; a rank is taken over the
@@ -170,33 +180,42 @@ def _double_description(int_rows: list[tuple[int, ...]], n: int) -> list[tuple[i
     classes = [0] * n
     columns: list[tuple[int, ...]] = [()]
     for t, row in enumerate(int_rows):
-        class_bit = {1 << c: 1 << k for c, k in enumerate(classes)}
+        class_bit = [1 << k for k in classes]
         pos: list[int] = []
         neg: list[int] = []
         keep_rays: list[tuple[int, ...]] = []
         keep_sup: list[int] = []
         values: list[int] = []
         masks: list[int] = []
-        for idx, ray in enumerate(rays):
-            s = sum(a * b for a, b in zip(row, ray) if b)
+        for idx, (support, ray) in enumerate(zip(supports, rays)):
+            coords = bit_positions(support)
+            s = sum([row[c] * v for c, v in zip(coords, ray)])
             values.append(s)
-            masks.append(_class_mask(supports[idx], class_bit) if s else 0)
             if s == 0:
+                masks.append(0)
                 keep_rays.append(ray)
-                keep_sup.append(supports[idx])
-            elif s > 0:
-                pos.append(idx)
-            else:
-                neg.append(idx)
+                keep_sup.append(support)
+                continue
+            # the classes the support meets
+            mask = 0
+            for c in coords:
+                mask |= class_bit[c]
+            masks.append(mask)
+            (pos if s > 0 else neg).append(idx)
 
-        new_rays: dict[tuple[int, ...], int] = {}
+        # no two adjacent pairs give the same ray: a new ray is where the
+        # pair's 2-face meets the hyperplane, and distinct faces have
+        # disjoint relative interiors
+        new_rays: list[tuple[int, ...]] = []
+        new_sup: list[int] = []
         room = RAY_CEILING - len(keep_rays)
         ranks: dict[int, int] = {}
         # the rank test below asks for rank width - 2 of t rows
         for ip, negs in _candidate_pairs(supports, pos, neg, t + 2):
             sp, rp, vp, mp = supports[ip], rays[ip], values[ip], masks[ip]
             for ineg in negs:
-                union = sp | supports[ineg]
+                sn = supports[ineg]
+                union = sp | sn
                 # two extreme rays span a 2-face iff the constraints tight at
                 # both (the processed rows and the shared zero coordinates)
                 # have rank n - 2, that is, iff the processed rows restricted
@@ -205,15 +224,22 @@ def _double_description(int_rows: list[tuple[int, ...]], n: int) -> list[tuple[i
                     key = mp | masks[ineg]
                     rank = ranks.get(key)
                     if rank is None:
-                        rank = ranks[key] = _int_rank(
-                            [columns[bit.bit_length() - 1] for bit in _bits(key)]
-                        )
+                        rank = ranks[key] = _int_rank([columns[k] for k in bit_positions(key)])
                     if rank != union.bit_count() - 2:
                         continue
                 vn = -values[ineg]
-                # both terms are >= 0, so the combination's support is the union
-                combo = primitive([vp * b + vn * a for a, b in zip(rp, rays[ineg])])
-                new_rays.setdefault(combo, union)
+                # vp * (negative ray) + vn * (positive ray): both terms are
+                # >= 0, so the support is the union, and the two entry lists
+                # merge over its coordinates
+                a, b = iter(rp), iter(rays[ineg])
+                combo = []
+                for c in bit_positions(union):
+                    x = vn * next(a) if sp >> c & 1 else 0
+                    if sn >> c & 1:
+                        x += vp * next(b)
+                    combo.append(x)
+                new_rays.append(primitive(combo))
+                new_sup.append(union)
             if len(new_rays) > room:
                 raise DimensionCapError(
                     f"ray enumeration for m={n.bit_length() - 1} holds "
@@ -221,22 +247,14 @@ def _double_description(int_rows: list[tuple[int, ...]], n: int) -> list[tuple[i
                     f"past the ceiling of {RAY_CEILING:,}"
                 )
 
-        rays = keep_rays + list(new_rays)
-        supports = keep_sup + list(new_rays.values())
+        rays = keep_rays + new_rays
+        supports = keep_sup + new_sup
         if not rays:
             break
         ids: dict[tuple[int, int], int] = {}
         classes = [ids.setdefault(key, len(ids)) for key in zip(classes, row)]
         columns = [columns[k] + (v,) for k, v in ids]
-    return rays
-
-
-def _class_mask(support: int, class_bit: dict[int, int]) -> int:
-    """The classes a support mask meets, as a mask of class bits."""
-    mask = 0
-    for bit in _bits(support):
-        mask |= class_bit[bit]
-    return mask
+    return supports, rays
 
 
 def _candidate_pairs(supports: list[int], pos: Sequence[int], neg: Sequence[int], width: int):
@@ -277,56 +295,47 @@ def _candidate_pairs(supports: list[int], pos: Sequence[int], neg: Sequence[int]
 
 def _subsets(mask: int, k: int):
     """The k-subsets of a bit mask, as masks."""
-    return map(sum, itertools.combinations(_bits(mask), k))
-
-
-def _bits(mask: int) -> list[int]:
-    """The set bits of a mask, lowest first, each as a one-bit mask."""
-    bits = []
-    while mask:
-        low = mask & -mask
-        bits.append(low)
-        mask ^= low
-    return bits
+    return map(sum, itertools.combinations([1 << c for c in bit_positions(mask)], k))
 
 
 def extreme_rays(matrix: ConstraintMatrix) -> RayMatrix:
-    """Enumerate the extreme rays of {f >= 0 : matrix rows . f = 0} as
+    """Enumerate the extreme rays of {f >= 0 : matrix rows . f = 0} as sparse
     primitive integer vectors with their totals.
 
     Refuses m above DIMENSION_CAP. Deterministic: insertion in stored row
-    order, columns sorted lexicographically by density value.
+    order, rays sorted lexicographically by density value.
     """
     if matrix.m > DIMENSION_CAP:
         raise DimensionCapError(
             f"ray enumeration for m={matrix.m} exceeds the cap of {DIMENSION_CAP}"
         )
-    vectors = _double_description(_integer_rows(matrix.rows), 1 << matrix.m)
-    totals = [sum(vec) for vec in vectors]
-    if any(total <= 0 or min(vec) < 0 for vec, total in zip(vectors, totals)):
-        raise ArithmeticError("a ray is not a nonnegative vector of positive mass")
-    keys = _sort_keys(vectors, totals, 1 << matrix.m)
-    order = sorted(range(len(vectors)), key=keys.__getitem__)
-    return RayMatrix(matrix.m, tuple(vectors[k] for k in order), tuple(totals[k] for k in order))
+    supports, entries = _double_description(_integer_rows(matrix.rows), 1 << matrix.m)
+    totals = [sum(ray) for ray in entries]
+    if any(min(ray) <= 0 for ray in entries):
+        raise ArithmeticError("a ray has an entry <= 0 on its support")
+    keys = _sort_keys(supports, entries, totals, 1 << matrix.m)
+    order = sorted(range(len(totals)), key=keys.__getitem__)
+    return RayMatrix(matrix.m, *(tuple(col[k] for k in order) for col in (supports, entries, totals)))
 
 
-def _sort_keys(vectors: list[tuple[int, ...]], totals: list[int], n: int) -> list[int]:
+def _sort_keys(
+    supports: list[int], entries: list[tuple[int, ...]], totals: list[int], n: int
+) -> list[int]:
     """One integer per ray that orders the rays as their densities order.
 
     vec * (L // total), L the lcm of the totals, is the density vec / total
     times L, so its entries are integers of at most L. Packed big-endian into
-    fixed-width fields that hold L, those entries compare as one integer in
-    lexicographic order. Packing vec and then multiplying by L // total gives
-    the same integer, since no field carries."""
+    fields of L.bit_length() bits, coordinate 0 highest, those entries
+    compare as one integer in lexicographic order. Packing vec and then
+    multiplying by L // total gives the same integer, since no field carries;
+    only the support's fields are nonzero."""
     scale = lcm(*totals)
-    width = (scale.bit_length() + 7) // 8
-    if width <= 8:
-        # the smallest standard struct field of at least `width` bytes
-        layout = struct.Struct(f">{n}{'BHIIQQQQ'[width - 1]}")
-        packed = (layout.pack(*vec) for vec in vectors)
-    else:
-        packed = (b"".join([v.to_bytes(width, "big") for v in vec]) for vec in vectors)
-    return [int.from_bytes(p, "big") * (scale // total) for p, total in zip(packed, totals)]
+    width = scale.bit_length()
+    shifts = [width * (n - 1 - c) for c in range(n)]
+    return [
+        sum([v << shifts[c] for c, v in zip(bit_positions(support), ray)]) * (scale // total)
+        for support, ray, total in zip(supports, entries, totals)
+    ]
 
 
 def moment_map(rays: RayMatrix, order: int) -> MomentMap:
@@ -336,9 +345,15 @@ def moment_map(rays: RayMatrix, order: int) -> MomentMap:
     An order above m has no subsets and gives no rows."""
     if order < 1:
         raise ValueError(f"moment order {order} is below 1")
+    # each subset's points as a mask over the support
+    point_masks = [sum(1 << j for j in points) for points in subset_points(rays.m, order)]
+    columns = list(zip(map(bit_positions, rays.supports), rays.entries, rays.totals))
     entries = tuple(
-        tuple(Fraction(sum(vec[j] for j in points), total) for vec, total in zip(rays.vectors, rays.totals))
-        for points in subset_points(rays.m, order)
+        tuple(
+            Fraction(sum([v for c, v in zip(coords, ray) if points >> c & 1]), total)
+            for coords, ray, total in columns
+        )
+        for points in point_masks
     )
     return MomentMap(rays.m, order, entries, rays)
 

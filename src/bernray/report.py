@@ -26,11 +26,11 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
-from .cone import DimensionCapError
+from .cone import DimensionCapError, RayMatrix
 from .frechet import CorrelationSpec, Density, FrechetClass, PairMoments
-from .tensor import SUPPORT_CAP, exact_text, parse_rational
+from .tensor import SUPPORT_CAP, bit_positions, exact_text, parse_rational
 
 DEFAULT_PRECISION = 12
 #: Largest --precision. Every decimal field is rendered to that many digits,
@@ -203,29 +203,40 @@ def rational_field(x: Fraction, precision: int) -> dict:
     return {"exact": exact_text(x), "decimal": render_decimal(x, precision)}
 
 
-def vector_field(
-    values: Sequence[Fraction | int],
-    precision: int,
-    total: int = 1,
-    cells: dict | None = None,
-) -> dict:
-    """Exact and decimal renderings of values / total. Calls that share a
-    cells dict render each distinct (value, total) cell once; the integer
-    ray columns of a rays report repeat a few hundred cells thousands of
-    times. Without one, nothing is hashed: a Fraction's hash costs about as
-    much as rendering it."""
-    if cells is None:
-        xs = values if total == 1 else [Fraction(v, total) for v in values]
-        return {
-            "exact": [exact_text(x) for x in xs],
-            "decimal": [render_decimal(x, precision) for x in xs],
-        }
-    for v in values:
-        if (v, total) not in cells:
-            x = Fraction(v, total)
-            cells[v, total] = (exact_text(x), render_decimal(x, precision))
-    rendered = [cells[v, total] for v in values]
-    return {"exact": [e for e, _ in rendered], "decimal": [d for _, d in rendered]}
+def vector_field(values: Sequence[Fraction | int], precision: int) -> dict:
+    """Exact and decimal renderings of values."""
+    return {
+        "exact": [exact_text(x) for x in values],
+        "decimal": [render_decimal(x, precision) for x in values],
+    }
+
+
+def _ray_columns(rays: RayMatrix, paper_order: bool, render) -> Iterator[list]:
+    """Each sparse ray density as its 2^m rendered cells in the canonical or
+    complemented order: a row of render(0) with render(entry / total)
+    written over the support. Each distinct (entry, total) renders once;
+    the rays of a report repeat a few hundred cells thousands of times."""
+    n = 1 << rays.m
+    zero = render(Fraction(0))
+    cells: dict[tuple[int, int], Any] = {}
+    for support, ray, total in zip(rays.supports, rays.entries, rays.totals):
+        col = [zero] * n
+        for c, v in zip(bit_positions(support), ray):
+            cell = cells.get((v, total))
+            if cell is None:
+                cell = cells[v, total] = render(Fraction(v, total))
+            col[n - 1 - c if paper_order else c] = cell
+        yield col
+
+
+def rays_field(rays: RayMatrix, precision: int, paper_order: bool) -> list[dict]:
+    """vector_field of every ray density, in the canonical or complemented
+    order."""
+    out = []
+    for col in _ray_columns(rays, paper_order, lambda x: (exact_text(x), render_decimal(x, precision))):
+        exact, decimal = zip(*col)
+        out.append({"exact": exact, "decimal": decimal})
+    return out
 
 
 def support_labels(m: int, paper_order: bool) -> list[str]:
@@ -297,26 +308,19 @@ def _write_atomic(text: str, path: str) -> None:
         raise
 
 
-def rays_csv_text(
-    vectors: Sequence[Sequence[int]], totals: Sequence[int], m: int, paper_order: bool
-) -> str:
-    """One ray vector / total per column, exact cells, support labels in the
-    first column. Each distinct (entry, total) cell is rendered once."""
+def rays_csv_text(rays: RayMatrix, paper_order: bool) -> str:
+    """One ray density per column, exact cells, support labels in the first
+    column."""
     import csv
     import io
 
-    labels = support_labels(m, paper_order)
+    columns = list(_ray_columns(rays, paper_order, exact_text))
     buf = io.StringIO()
     buf.write(f"# support order: {order_note(paper_order)}\n")
     writer = csv.writer(buf)
-    writer.writerow(["point"] + [f"ray_{k+1}" for k in range(len(vectors))])
-    columns = [reorder_support(vec, paper_order) for vec in vectors]
-    cells: dict[tuple[int, int], str] = {}
-    for r, label in enumerate(labels):
-        for col, total in zip(columns, totals):
-            if (col[r], total) not in cells:
-                cells[col[r], total] = exact_text(Fraction(col[r], total))
-        writer.writerow([label] + [cells[col[r], total] for col, total in zip(columns, totals)])
+    writer.writerow(["point"] + [f"ray_{k+1}" for k in range(rays.n_rays)])
+    for label, cells in zip(support_labels(rays.m, paper_order), zip(*columns)):
+        writer.writerow([label, *cells])
     return buf.getvalue()
 
 

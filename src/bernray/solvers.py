@@ -38,7 +38,7 @@ from .frechet import (
     rho_from_mu2,
 )
 from .simplex import solve_lp
-from .tensor import over_common_denominator, pivot, primitive, subset_points
+from .tensor import bit_positions, over_common_denominator, pivot, primitive, subset_points
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -72,16 +72,20 @@ class ProjectionResult:
 
 
 def _mixture(
-    m: int, vectors: Sequence[Sequence[int]], totals: Sequence[int], lam: Sequence[Fraction]
+    m: int,
+    supports: Sequence[int],
+    entries: Sequence[Sequence[int]],
+    totals: Sequence[int],
+    lam: Sequence[Fraction],
 ) -> Density:
-    """The density sum_k lam_k vectors_k / totals_k."""
+    """The density sum_k lam_k vector_k / totals_k of sparse integer vectors:
+    vector_k holds entries_k on the coordinates of supports_k."""
     vals = [ZERO] * (1 << m)
-    for w, vec, total in zip(lam, vectors, totals):
+    for w, support, ray, total in zip(lam, supports, entries, totals):
         if w:
             w /= total
-            for j, v in enumerate(vec):
-                if v:
-                    vals[j] += w * v
+            for j, v in zip(bit_positions(support), ray):
+                vals[j] += w * v
     return Density(m, vals)
 
 
@@ -100,7 +104,7 @@ def _solve_fit(
     objective = None if c is None else res.objective
     if rays is None:
         return FitResult("feasible", None, Density(m, res.x), None, objective, res.pivots)
-    density = _mixture(m, rays.vectors, rays.totals, res.x)
+    density = _mixture(m, rays.supports, rays.entries, rays.totals, res.x)
     return FitResult("feasible", res.x, density, None, objective, res.pivots)
 
 
@@ -217,7 +221,7 @@ def nearest_feasible_correlation(
 
     weights = _pair_weights(cls)
     keys, lam, x, iterations, gap = _wolfe(_vertex_oracle(cls, mu_t), weights, mu_t.values)
-    vectors, totals = zip(*keys)
+    supports, entries, totals = zip(*keys)
     mu_star = PairMoments(cls.m, [v + t for v, t in zip(x, mu_t.values)])
     dist_sq = sum(w * v * v for w, v in zip(weights, x))
     return ProjectionResult(
@@ -227,7 +231,7 @@ def nearest_feasible_correlation(
         sqrt(float(dist_sq)),
         dist_sq,
         tuple(lam),
-        _mixture(cls.m, vectors, totals, lam),
+        _mixture(cls.m, supports, entries, totals, lam),
         iterations,
         gap,
         gap == 0,
@@ -238,22 +242,25 @@ def _vertex_oracle(cls: FrechetClass, mu_t: PairMoments):
     """Linear minimization over the class polytope: one exact LP over the
     margin and unit-sum rows of the direct system, with the objective on
     pair moments spread over each pair's points to give one on the 2^m
-    masses. A vertex comes back as its key, the vertex in ray form (the
-    primitive integer vector and its total, the lcm of the LP's denominators),
-    its integer pair sums and that total."""
+    masses. A vertex comes back as its key, the vertex in sparse ray form
+    (the support mask, the nonzero entries of the integer vector and its
+    total, the lcm of the LP's denominators), its integer pair sums and that
+    total."""
     m = cls.m
     rows, b = _direct_rows(cls, mu_t)
     margin_rows, margin_b = rows[:m] + rows[-1:], b[:m] + b[-1:]
     pair_points = subset_points(m, 2)
 
-    def oracle(c: Sequence[int]) -> tuple[tuple[tuple[int, ...], int], list[int], int]:
+    def oracle(c: Sequence[int]) -> tuple[tuple[int, tuple[int, ...], int], list[int], int]:
         cost = [0] * (1 << m)
         for a, points in zip(c, pair_points):
             for j in points:
                 cost[j] += a
         x = Density(m, solve_lp(margin_rows, margin_b, c=cost).x).values
         vertex, total = over_common_denominator(x)
-        return (tuple(vertex), total), [sum(vertex[j] for j in points) for points in pair_points], total
+        support = sum(1 << j for j, v in enumerate(vertex) if v)
+        key = (support, tuple(v for v in vertex if v), total)
+        return key, [sum(vertex[j] for j in points) for points in pair_points], total
 
     return oracle
 

@@ -25,7 +25,8 @@ from typing import Sequence
 #: Largest m that any command accepts; checked when a problem file is read,
 #: before anything builds the 2^m support. On a 2-core Xeon with Python 3.11,
 #: direct-mode fit and minimize of the symmetric class at independence take
-#: 7 s and 10 s at m=8; fit takes 93 s (23,639 pivots) at m=9.
+#: about 5 s each at m=8 (4,530 and 4,982 pivots); fit took 93 s (23,639
+#: pivots) at m=9.
 SUPPORT_CAP = 8
 
 #: Largest decimal exponent magnitude in a rational literal. Fraction builds
@@ -126,6 +127,17 @@ def eliminate(r: list[int], pr: list[int], pv: int, den: int, col: int) -> list[
     if pv == den:
         return r
     return [a * pv // den for a in r]
+
+
+def bit_positions(mask: int) -> list[int]:
+    """The positions of the set bits of a mask, lowest first: the
+    coordinates of a support mask."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 Stencil = tuple[RationalLike, RationalLike, RationalLike, RationalLike]

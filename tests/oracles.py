@@ -7,6 +7,9 @@ certified by a vertex scan, moments by direct summation over support points, pai
 rays, and Kronecker products formed densely. The one exception is
 normalised_rays, which reuses the library's double description and checks
 only what follows it: normalisation to densities and the column order.
+dense_rays writes the library's sparse rays out in full, so they compare
+with the dense scan oracle, and packed_sort_keys is the byte-packed dense
+sort key that the library's sparse key must order alike.
 scan_double_description is the double description with the quadratic pair
 scan and a per-pair adjacency test by Fraction elimination; it shares no
 adjacency code with the library, whose pair generation and per-class rank
@@ -212,12 +215,47 @@ def normalised_rays(matrix):
     from bernray import Density
     from bernray.cone import _double_description, _integer_rows
 
+    n = 1 << matrix.m
     densities = []
-    for vec in _double_description(_integer_rows(matrix.rows), 1 << matrix.m):
+    for vec in dense_rays(*_double_description(_integer_rows(matrix.rows), n), n):
         total = sum(vec)
         densities.append(Density(matrix.m, [Fraction(v, total) for v in vec]))
     densities.sort(key=lambda d: d.values)
     return [d.values for d in densities]
+
+
+def dense_rays(supports, entries, n):
+    """The library's sparse rays (support masks and their entries, lowest
+    coordinate first) as dense tuples of n integers."""
+    rays = []
+    for support, ray in zip(supports, entries):
+        coords = [c for c in range(n) if support >> c & 1]
+        assert len(coords) == len(ray) and support < 1 << n
+        vec = [0] * n
+        for c, v in zip(coords, ray):
+            vec[c] = v
+        rays.append(tuple(vec))
+    return rays
+
+
+def packed_sort_keys(vectors, totals, n):
+    """One integer per dense ray vector that orders the rays as their
+    densities order: the entries of vec * (L // total), L the lcm of the
+    totals, packed big-endian into fields of whole bytes that hold L (a
+    standard struct field up to 8 bytes). The byte-packed key the library
+    used before its rays became sparse."""
+    import struct
+    from math import lcm
+
+    scale = lcm(*totals)
+    width = (scale.bit_length() + 7) // 8
+    if width <= 8:
+        # the smallest standard struct field of at least `width` bytes
+        layout = struct.Struct(f">{n}{'BHIIQQQQ'[width - 1]}")
+        packed = (layout.pack(*vec) for vec in vectors)
+    else:
+        packed = (b"".join([v.to_bytes(width, "big") for v in vec]) for vec in vectors)
+    return [int.from_bytes(p, "big") * (scale // total) for p, total in zip(packed, totals)]
 
 
 def scan_double_description(int_rows, n):

@@ -1,9 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -117,9 +118,10 @@ def test_extreme_rays_match_normalise_and_sort_reference(p):
 def test_extreme_rays_match_normalise_and_sort_reference_m5(p):
     h = build_h(FrechetClass(p))
     rays = extreme_rays(h)
-    for vec, total in zip(rays.vectors, rays.totals):
-        assert total == sum(vec)
-        assert gcd(*vec) == 1
+    for support, ray, total in zip(rays.supports, rays.entries, rays.totals):
+        assert support.bit_count() == len(ray)
+        assert total == sum(ray)
+        assert gcd(*ray) == 1
     assert rays.column_values() == oracles.normalised_rays(h)
 
 
@@ -136,10 +138,14 @@ def test_mixed_and_generic_m5_ray_counts(p, count):
     assert margin_rays(FrechetClass(p)).n_rays == count
 
 
+def _dense_dd(rows, n):
+    return oracles.dense_rays(*_double_description(rows, n), n)
+
+
 def _dd_and_scan(matrix):
     rows = _integer_rows(matrix.rows)
     n = 1 << matrix.m
-    return _double_description(rows, n), oracles.scan_double_description(rows, n)
+    return _dense_dd(rows, n), oracles.scan_double_description(rows, n)
 
 
 @settings(max_examples=60, deadline=None)
@@ -191,7 +197,7 @@ RANDOM_ROWS = st.integers(1, 8).flatmap(lambda n: st.tuples(
 def test_double_description_matches_scan_oracle_on_random_rows(case):
     n, column_of, base, order = case
     rows = [tuple(base[r % len(base)][column_of[c]] for c in range(n)) for r in order]
-    assert _double_description(rows, n) == oracles.scan_double_description(rows, n)
+    assert _dense_dd(rows, n) == oracles.scan_double_description(rows, n)
 
 
 def test_rank_tests_once_per_class_mask(monkeypatch):
@@ -239,6 +245,55 @@ def test_sort_keys_past_64_bits():
     assert rays.column_values() == oracles.normalised_rays(h)
 
 
+def _same_order(keys, reference):
+    """keys order their items as reference does, ties included."""
+    pairs = itertools.combinations(range(len(keys)), 2)
+    return all((keys[i] > keys[j]) - (keys[i] < keys[j]) == (reference[i] > reference[j]) - (reference[i] < reference[j]) for i, j in pairs)
+
+
+def _keys_and_reference(supports, entries, n):
+    totals = [sum(ray) for ray in entries]
+    dense = oracles.dense_rays(supports, entries, n)
+    return cone._sort_keys(supports, entries, totals, n), oracles.packed_sort_keys(dense, totals, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda m: st.lists(MARGINS, min_size=m, max_size=m)))
+def test_sort_keys_order_as_the_packed_reference(p):
+    h = build_h(FrechetClass(p))
+    n = 1 << h.m
+    keys, reference = _keys_and_reference(*_double_description(_integer_rows(h.rows), n), n)
+    assert _same_order(keys, reference)
+
+
+# sparse positive vectors over n <= 16 coordinates: on a few supports, the
+# entries base + 1..3, base up to 2^40 per vector. Densities then tie (base 0)
+# or differ in far digits, and the lcm of the totals passes 64 bits, the
+# widest fixed-size field
+SPARSE_VECTORS = st.integers(1, 16).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.tuples(
+        st.sampled_from([(1 << n) - 1, 1, (1 << n) - 1 - (n > 1), 1 << (n - 1) | 1]).flatmap(
+            lambda support: st.tuples(st.just(support), st.lists(
+                st.integers(1, 3), min_size=support.bit_count(), max_size=support.bit_count()
+            ))
+        ),
+        st.integers(0, 1 << 40),
+    ),
+    min_size=2, max_size=12,
+)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(SPARSE_VECTORS)
+def test_sort_keys_order_as_the_packed_reference_past_64_bits(case):
+    n, rays = case
+    supports = [support for (support, _), _ in rays]
+    entries = [tuple(base + v for v in ray) for (_, ray), base in rays]
+    assume(lcm(*[sum(ray) for ray in entries]).bit_length() > 64)
+    keys, reference = _keys_and_reference(supports, entries, n)
+    assert _same_order(keys, reference)
+
+
 def test_pair_moment_rays_match_oracle():
     # the double description on the pair-moment cone, a second family of rows
     rng = random.Random(31)
@@ -271,6 +326,19 @@ def test_moment_map_order2_is_pair_sums():
         expect = oracles.direct_pair_moments(list(cols[r]))
         got = [row[r] for row in amap.entries]
         assert got == expect
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda m: st.lists(MARGINS, min_size=m, max_size=m)), st.integers(1, 4))
+def test_moment_map_matches_dense_recomputation(p, order):
+    rays = margin_rays(FrechetClass(p))
+    n = 1 << rays.m
+    dense = oracles.dense_rays(rays.supports, rays.entries, n)
+    expect = [
+        oracles.direct_subset_moments([Fraction(v, total) for v in vec], order)
+        for vec, total in zip(dense, rays.totals)
+    ]
+    assert moment_map(rays, order).entries == tuple(zip(*expect))
 
 
 def test_extreme_rays_on_explicit_matrix():

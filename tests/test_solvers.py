@@ -60,6 +60,28 @@ def test_infeasible_fit_certificate_checks(sym3, sym3_rays):
     assert verify_farkas(rows, b, res.certificate)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 4).flatmap(lambda m: st.lists(MARGINS, min_size=m, max_size=m)),
+    st.lists(st.integers(0, 4), min_size=1, max_size=8),
+)
+def test_ray_fit_density_matches_dense_recomputation(p, weights):
+    # a target in the class: the pair moments of a mixture of the first rays
+    rays = margin_rays(FrechetClass(p))
+    n = 1 << rays.m
+    dense = oracles.dense_rays(rays.supports, rays.entries, n)
+    weights = (weights + [0] * rays.n_rays)[: rays.n_rays]
+    weights[0] += 1
+    mixture = [
+        sum(F(w * vec[j], sum(weights) * total) for w, vec, total in zip(weights, dense, rays.totals))
+        for j in range(n)
+    ]
+    res = fit_lambda(moment_map(rays, 2), PairMoments(rays.m, oracles.direct_pair_moments(mixture)))
+    assert res.status == "feasible"
+    expect = [sum(lam * F(vec[j], total) for lam, vec, total in zip(res.lam, dense, rays.totals)) for j in range(n)]
+    assert list(res.density.values) == expect
+
+
 def test_direct_mode_agrees_with_ray_mode(sym3, sym3_rays):
     mu2 = mu2_from_rho(sym3, RHO_FEASIBLE)
     ray_fit = fit_lambda(moment_map(sym3_rays, 2), mu2)
