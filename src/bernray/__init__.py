@@ -11,11 +11,9 @@ from .bounds import (
 )
 from .cone import (
     DIMENSION_CAP,
-    ConstraintMatrix,
     DimensionCapError,
     MomentMap,
     RayMatrix,
-    build_h,
     extreme_rays,
     margin_rays,
     moment_map,
@@ -56,7 +54,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BivariateSummary",
     "Cdf",
-    "ConstraintMatrix",
     "CorrelationSpec",
     "DIMENSION_CAP",
     "Density",
@@ -74,7 +71,6 @@ __all__ = [
     "ThetaVector",
     "bivariate_extreme_densities",
     "bivariate_summary",
-    "build_h",
     "cdf_from_density",
     "cdf_from_theta",
     "density_from_cdf",

@@ -7,7 +7,7 @@ delimited export where one is defined (rays: one ray per column; sample: one
 draw per row).
 
 Exit codes: 0 success or feasible, 2 infeasible target, 3 invalid input,
-4 dimension cap exceeded.
+4 dimension cap or report size ceiling exceeded.
 """
 from __future__ import annotations
 
@@ -27,6 +27,7 @@ from .report import (
     ProblemSpec,
     SpecError,
     check_draw_options,
+    check_report_cells,
     json_text,
     order_note,
     parse_density_payload,
@@ -126,6 +127,7 @@ def _certificate_payload(fit: FitResult, rows_note: str) -> dict:
 
 def _rays(args, spec: ProblemSpec, cls, report: dict) -> int:
     rays = margin_rays(cls)
+    check_report_cells(rays)
     report["status"] = "ok"
     report["kind"] = "margins"
     report["ray_count"] = rays.n_rays
@@ -324,6 +326,9 @@ def run(args) -> tuple[dict, int]:
         raise SpecError(f"--precision: must be in 1..{MAX_PRECISION}")
     if args.csv is not None and not command.csv:
         raise SpecError(f"--csv: delimited export is defined for {CSV_COMMANDS} only")
+    if args.csv is not None and args.output is not None:
+        if os.path.realpath(args.csv) == os.path.realpath(args.output):
+            raise SpecError("--csv: names the same file as --output")
 
     cls = spec.frechet_class()
     t0 = time.perf_counter()

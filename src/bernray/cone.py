@@ -5,6 +5,9 @@ vanishes exactly on the vectors whose normalized i-th margin is p_i. Its
 extreme rays, normalized to unit mass, are finitely many densities; every
 member of the class is a convex combination of them.
 
+H is no type of its own: margin_rows builds it as primitive integer rows,
+which go to the double description as they are.
+
 Enumeration is the double description method run over exact integers:
 start from the nonnegative orthant (unit rays), insert the hyperplanes one at
 a time in ascending row order, combine adjacent rays across the hyperplane,
@@ -47,7 +50,7 @@ from math import lcm
 from typing import Sequence
 
 from .frechet import FrechetClass
-from .tensor import bit_positions, over_common_denominator, primitive, subset_points
+from .tensor import bit_positions, primitive, subset_points
 
 #: Largest m for ray enumeration: m=6 already has 707,264 rays.
 DIMENSION_CAP = 6
@@ -60,29 +63,20 @@ RAY_CEILING = 10**6
 
 class DimensionCapError(ValueError):
     """Ray enumeration refused because m exceeds the configured cap or the
-    rays outgrow RAY_CEILING."""
+    rays outgrow RAY_CEILING, or their report outgrows
+    report.MAX_REPORT_CELLS."""
 
 
-@dataclass(frozen=True)
-class ConstraintMatrix:
-    """Homogeneous margin constraints over the canonical support order: one
-    row per coordinate, entry p_i at points with x_i = 0 and -q_i at points
-    with x_i = 1 (the odds form gamma_i (1 - x_i) - x_i scaled by q_i, so
-    each row is that form times a positive scalar)."""
-
-    m: int
-    rows: tuple[tuple[Fraction, ...], ...]
-
-
-def build_h(cls: FrechetClass) -> ConstraintMatrix:
-    """Margin constraints of a class. At support point x, row i equals
-    p_i - x_i."""
-    m = cls.m
-    rows = []
-    for i in range(m):
-        p_i = cls.p[i]
-        rows.append(tuple(p_i - ((j >> i) & 1) for j in range(1 << m)))
-    return ConstraintMatrix(m, tuple(rows))
+def margin_rows(cls: FrechetClass) -> list[tuple[int, ...]]:
+    """Margin constraints of a class as primitive integer rows. At support
+    point x, row i is a_i - b_i x_i, where p_i = a_i / b_i in lowest terms:
+    that is b_i (p_i - x_i), and its gcd is gcd(a_i, a_i - b_i) =
+    gcd(a_i, b_i) = 1."""
+    n = 1 << cls.m
+    return [
+        tuple(p.numerator - p.denominator * (j >> i & 1) for j in range(n))
+        for i, p in enumerate(cls.p)
+    ]
 
 
 @dataclass(frozen=True)
@@ -131,10 +125,6 @@ class MomentMap:
 # double description over sparse primitive integer vectors
 
 
-def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[tuple[int, ...]]:
-    return [primitive(over_common_denominator(row)[0]) for row in rows]
-
-
 def _int_rank(rows: Sequence[Sequence[int]]) -> int:
     """Rank of a small integer matrix by forward elimination without
     division. Not tensor.pivot: only the rank is wanted, and on these small
@@ -164,7 +154,7 @@ def _int_rank(rows: Sequence[Sequence[int]]) -> int:
 
 
 def _double_description(
-    int_rows: list[tuple[int, ...]], n: int
+    int_rows: Sequence[Sequence[int]], n: int
 ) -> tuple[list[int], list[tuple[int, ...]]]:
     """Extreme rays of {f >= 0 : row . f = 0 for every row} as sparse
     primitive integer vectors: their support masks and their entries on
@@ -298,24 +288,23 @@ def _subsets(mask: int, k: int):
     return map(sum, itertools.combinations([1 << c for c in bit_positions(mask)], k))
 
 
-def extreme_rays(matrix: ConstraintMatrix) -> RayMatrix:
-    """Enumerate the extreme rays of {f >= 0 : matrix rows . f = 0} as sparse
+def extreme_rays(rows: Sequence[Sequence[int]], m: int) -> RayMatrix:
+    """Enumerate the extreme rays of {f >= 0 : row . f = 0 for every row},
+    rows being integer vectors over the 2^m support points, as sparse
     primitive integer vectors with their totals.
 
-    Refuses m above DIMENSION_CAP. Deterministic: insertion in stored row
+    Refuses m above DIMENSION_CAP. Deterministic: insertion in the given row
     order, rays sorted lexicographically by density value.
     """
-    if matrix.m > DIMENSION_CAP:
-        raise DimensionCapError(
-            f"ray enumeration for m={matrix.m} exceeds the cap of {DIMENSION_CAP}"
-        )
-    supports, entries = _double_description(_integer_rows(matrix.rows), 1 << matrix.m)
+    if m > DIMENSION_CAP:
+        raise DimensionCapError(f"ray enumeration for m={m} exceeds the cap of {DIMENSION_CAP}")
+    supports, entries = _double_description(rows, 1 << m)
     totals = [sum(ray) for ray in entries]
     if any(min(ray) <= 0 for ray in entries):
         raise ArithmeticError("a ray has an entry <= 0 on its support")
-    keys = _sort_keys(supports, entries, totals, 1 << matrix.m)
+    keys = _sort_keys(supports, entries, totals, 1 << m)
     order = sorted(range(len(totals)), key=keys.__getitem__)
-    return RayMatrix(matrix.m, *(tuple(col[k] for k in order) for col in (supports, entries, totals)))
+    return RayMatrix(m, *(tuple(col[k] for k in order) for col in (supports, entries, totals)))
 
 
 def _sort_keys(
@@ -360,4 +349,4 @@ def moment_map(rays: RayMatrix, order: int) -> MomentMap:
 
 def margin_rays(cls: FrechetClass) -> RayMatrix:
     """Extreme ray densities of the class itself."""
-    return extreme_rays(build_h(cls))
+    return extreme_rays(margin_rows(cls), cls.m)

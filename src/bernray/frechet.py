@@ -7,9 +7,12 @@ a member can be written in:
 
     density f  <->  CDF F  <->  theta vector
 
-the margins and pair moments of a density, each the mass on the points that
-tensor.subset_points lists for its subset, and the exact translation between
-pairwise raw moments E[X_i X_j] and Pearson correlations.
+each one Kronecker apply (tensor.kron_apply) of a 2x2 stencil per
+coordinate built from p_i alone, so theta comes straight from the density
+without an intermediate CDF. It also holds the margins and pair moments of a
+density, each the mass on the points that tensor.subset_points lists for its
+subset, and the exact translation between pairwise raw moments E[X_i X_j]
+and Pearson correlations.
 
 All vectors are indexed by the canonical support order of tensor.py
 (coordinate 1 = least significant bit). Theta vectors use the same bijection:
@@ -25,16 +28,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Sequence
 
-from .tensor import (
-    CUMSUM_2,
-    DIFF_2,
-    RationalLike,
-    Stencil,
-    as_fraction,
-    exact_text,
-    kron_apply,
-    subset_points,
-)
+from .tensor import CUMSUM_2, DIFF_2, RationalLike, as_fraction, exact_text, kron_apply, subset_points
 
 #: tolerance of the declared square-root policy
 SQRT_TOLERANCE = Fraction(1, 10**30)
@@ -258,34 +252,16 @@ def density_from_cdf(F: Cdf) -> Density:
 # ---------------------------------------------------------------------------
 # theta representation
 
-# Per-coordinate stencils of the interaction basis. Evaluating the CDF at
-# margin level x_i in {0,1} uses row x_i of _theta_factor(p_i); the diagonal
-# prefactor is prod q_i^(1-x_i).
-
-
-def _theta_factor(p_i: Fraction) -> Stencil:
-    return (1, p_i, 1, 0)
-
-
-def _theta_factor_inv(p_i: Fraction) -> Stencil:
-    return (0, 1, 1 / p_i, -1 / p_i)
-
-
-def _corner_weights(cls: FrechetClass) -> list[Fraction]:
-    """Diagonal prod_i q_i^(1 - x_i) over the canonical support order."""
-    q = cls.q
-    out = [ONE] * (1 << cls.m)
-    for j in range(1 << cls.m):
-        w = ONE
-        for i in range(cls.m):
-            if not (j >> i) & 1:
-                w *= q[i]
-        out[j] = w
-    return out
+# The CDF at x is prod_i q_i^(1 - x_i) times the expansion evaluated with
+# row x_i of (1, p_i; 1, 0) per coordinate; the weight folds into that
+# stencil's first row. The inverse, (0, 1; 1/p_i, -1/p_i) diag(1/q_i, 1),
+# after the running sums (1, 0; 1, 1) is (1, 1; 1/q_i, -1/p_i), because
+# 1/(p_i q_i) - 1/p_i = 1/q_i.
 
 
 def cdf_from_theta(cls: FrechetClass, theta: ThetaVector) -> Cdf:
-    """Evaluate the interaction expansion at every support point.
+    """Evaluate the interaction expansion at every support point: one
+    Kronecker apply of the stencils (q_i, q_i p_i; 1, 0).
 
     No validity checks: any theta vector yields a CDF-shaped vector, valid or
     not. When entry 0 is 1 and the linear entries are 0 the result is the CDF
@@ -293,19 +269,16 @@ def cdf_from_theta(cls: FrechetClass, theta: ThetaVector) -> Cdf:
     """
     if theta.m != cls.m:
         raise ValueError("theta dimension does not match the class")
-    inner = kron_apply([_theta_factor(p) for p in cls.p], theta.values)
-    weights = _corner_weights(cls)
-    return Cdf(cls.m, [w * v for w, v in zip(weights, inner)])
+    return Cdf(cls.m, kron_apply([(q, q * p, 1, 0) for p, q in zip(cls.p, cls.q)], theta.values))
 
 
 def theta_from_density(cls: FrechetClass, f: Density) -> ThetaVector:
-    """Exact inverse of cdf_from_theta composed with cdf_from_density."""
+    """Exact inverse of cdf_from_theta composed with cdf_from_density: one
+    Kronecker apply of the stencils (1, 1; 1/q_i, -1/p_i)."""
     if f.m != cls.m:
         raise ValueError("density dimension does not match the class")
-    F = cdf_from_density(f)
-    weights = _corner_weights(cls)
-    inner = [v / w for w, v in zip(weights, F.values)]
-    return ThetaVector(cls.m, kron_apply([_theta_factor_inv(p) for p in cls.p], inner))
+    stencils = [(1, 1, 1 / q, -1 / p) for p, q in zip(cls.p, cls.q)]
+    return ThetaVector(cls.m, kron_apply(stencils, f.values))
 
 
 # ---------------------------------------------------------------------------

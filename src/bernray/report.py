@@ -41,6 +41,11 @@ MAX_PRECISION = 100
 #: draw) and its CSV holds a row per draw, so an uncapped n grows without
 #: bound: 10^10 draws would run for hours toward about 80 GB.
 MAX_DRAWS = 10**7
+#: Most density cells (rays x 2^m points) a rays report renders. The report
+#: is built whole before it is written, at about 100 bytes a cell (Python
+#: 3.11): 4,000,000 cells of m=6 rays peaked at 432 MB, and symmetric m=6
+#: (45 million) runs out of memory. The largest m=5 report has 573,120 cells.
+MAX_REPORT_CELLS = 4 * 10**6
 
 MODES = ("rays", "direct")
 OBJECTIVES = ("none", "min-higher-moments")
@@ -227,6 +232,16 @@ def _ray_columns(rays: RayMatrix, paper_order: bool, render) -> Iterator[list]:
                 cell = cells[v, total] = render(Fraction(v, total))
             col[n - 1 - c if paper_order else c] = cell
         yield col
+
+
+def check_report_cells(rays: RayMatrix) -> None:
+    """Refuse, with DimensionCapError, a report past MAX_REPORT_CELLS."""
+    cells = rays.n_rays << rays.m
+    if cells > MAX_REPORT_CELLS:
+        raise DimensionCapError(
+            f"a rays report of {rays.n_rays:,} rays over {1 << rays.m} points holds "
+            f"{cells:,} cells, past the ceiling of {MAX_REPORT_CELLS:,}"
+        )
 
 
 def rays_field(rays: RayMatrix, precision: int, paper_order: bool) -> list[dict]:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, sqrt
+from math import sqrt
 from typing import Sequence
 
 from .cone import MomentMap, RayMatrix
@@ -151,12 +151,9 @@ def fit_density_direct(cls: FrechetClass, mu2: PairMoments) -> FitResult:
 def higher_moment_objective(m: int) -> list[Fraction]:
     """Per-support-point cost of the summed raw moments of order >= 3: the
     point with k active coordinates contributes one unit to each of its
-    subsets of size 3..k."""
-    out = []
-    for j in range(1 << m):
-        k = j.bit_count()
-        out.append(Fraction(sum(comb(k, r) for r in range(3, k + 1))))
-    return out
+    subsets of size 3..k, that is all 2^k of them but the empty set, the k
+    singletons and the k(k-1)/2 pairs."""
+    return [Fraction(2**k - 1 - k - k * (k - 1) // 2) for k in map(int.bit_count, range(1 << m))]
 
 
 def minimize_higher_moments(cls: FrechetClass, mu2: PairMoments) -> FitResult:

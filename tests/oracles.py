@@ -20,15 +20,23 @@ fraction_wolfe is Wolfe's loop in Fraction arithmetic, with the affine
 minimizer by Fraction Gauss-Jordan elimination: the reference whose every
 decision the library's integer loop must repeat.
 
+fraction_margin_rows is the margin cone's rows built as Fractions p_i - x_i
+and then cleared to primitive integers, the reference for the library's
+closed-form integer rows. corner_theta_from_density and
+corner_cdf_from_theta are the step-by-step theta transforms, through the
+CDF, a diagonal of corner weights and one stencil per coordinate, with the
+Kronecker products formed densely: the references for the library's single
+stencils.
+
 build_h2 is an input, not an oracle: the pair-moment cone, a second family
-of constraint matrices for checking the double description against the
+of integer constraint rows for checking the double description against the
 vertex oracle beyond margin rows.
 """
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import sqrt
+from math import gcd, lcm, sqrt
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -145,18 +153,72 @@ def pair_polytope_rows(m, mu2):
 
 
 def build_h2(m, mu2):
-    """Pair-moment constraints as a ConstraintMatrix: at support point x, the
-    row for (i, j) equals mu_ij - x_i x_j. Each row is mu_ij at points with
-    x_i x_j = 0 and -(1 - mu_ij) at points with x_i x_j = 1; the boundary
-    values mu_ij = 0 and mu_ij = 1 degenerate to "no mass where x_i x_j = 1"
-    and "no mass where x_i x_j = 0"."""
-    from bernray import ConstraintMatrix
-
+    """Pair-moment constraints as primitive integer rows: at support point x,
+    the row for (i, j) is mu_ij - x_i x_j cleared of denominators. Each row
+    is mu_ij at points with x_i x_j = 0 and -(1 - mu_ij) at points with
+    x_i x_j = 1, scaled; the boundary values mu_ij = 0 and mu_ij = 1
+    degenerate to "no mass where x_i x_j = 1" and "no mass where
+    x_i x_j = 0"."""
     rows = []
     for (i, j), mu in zip(itertools.combinations(range(m), 2), mu2):
         mask = (1 << i) | (1 << j)
-        rows.append(tuple(Fraction(mu) - (1 if (k & mask) == mask else 0) for k in range(1 << m)))
-    return ConstraintMatrix(m, tuple(rows))
+        rows.append([Fraction(mu) - (1 if (k & mask) == mask else 0) for k in range(1 << m)])
+    return integer_rows(rows)
+
+
+def integer_rows(rows):
+    """Fraction rows as primitive integer rows: each times the lcm of its
+    denominators, then divided by the gcd of the result."""
+    out = []
+    for row in rows:
+        den = lcm(*(Fraction(v).denominator for v in row))
+        ints = [int(v * den) for v in row]
+        g = gcd(*ints) or 1
+        out.append(tuple(v // g for v in ints))
+    return out
+
+
+def fraction_margin_rows(p):
+    """The margin cone's rows by way of Fractions: row i at support point x
+    is p_i - x_i, then cleared to a primitive integer row."""
+    m = len(p)
+    return integer_rows([[Fraction(v) - ((j >> i) & 1) for j in range(1 << m)] for i, v in enumerate(p)])
+
+
+def _kron_matvec(factors, vec):
+    """(factors[m-1] kron ... kron factors[0]) @ vec with the product formed
+    densely; each factor is a row-major 2x2 (a, b, c, d)."""
+    full = [[ONE]]
+    for a, b, c, d in factors:
+        full = dense_kron([[a, b], [c, d]], full)
+    return [sum(x * v for x, v in zip(row, vec)) for row in full]
+
+
+def _corner_weights(p):
+    """Diagonal prod_i q_i^(1 - x_i) over the canonical support order."""
+    out = []
+    for j in range(1 << len(p)):
+        w = ONE
+        for i, v in enumerate(p):
+            if not (j >> i) & 1:
+                w *= 1 - Fraction(v)
+        out.append(w)
+    return out
+
+
+def corner_cdf_from_theta(p, theta):
+    """The interaction expansion at every support point: the stencils
+    (1, p_i; 1, 0), then the corner weights."""
+    inner = _kron_matvec([(1, Fraction(v), 1, 0) for v in p], theta)
+    return [w * v for w, v in zip(_corner_weights(p), inner)]
+
+
+def corner_theta_from_density(p, density):
+    """Theta of a density through its CDF (running sums per coordinate),
+    divided by the corner weights, then the stencils (0, 1; 1/p_i, -1/p_i)."""
+    cdf = _kron_matvec([(1, 0, 1, 1)] * len(p), density)
+    inner = [v / w for w, v in zip(_corner_weights(p), cdf)]
+    return _kron_matvec([(0, 1, 1 / Fraction(v), -1 / Fraction(v)) for v in p], inner)
 
 
 def direct_margins(values):
@@ -207,19 +269,19 @@ def ray_pair_bounds(p, rays, sqrt):
     return lo, hi, rho_lo, rho_hi
 
 
-def normalised_rays(matrix):
-    """The normalise-and-sort route to a ray matrix's columns: every
-    primitive double-description vector becomes a unit-mass Density, and the
-    densities are sorted on their Fraction values. Returns the sorted value
-    tuples."""
+def normalised_rays(rows, m):
+    """The normalise-and-sort route to the columns of the ray matrix of
+    integer rows over 2^m points: every primitive double-description vector
+    becomes a unit-mass Density, and the densities are sorted on their
+    Fraction values. Returns the sorted value tuples."""
     from bernray import Density
-    from bernray.cone import _double_description, _integer_rows
+    from bernray.cone import _double_description
 
-    n = 1 << matrix.m
+    n = 1 << m
     densities = []
-    for vec in dense_rays(*_double_description(_integer_rows(matrix.rows), n), n):
+    for vec in dense_rays(*_double_description(rows, n), n):
         total = sum(vec)
-        densities.append(Density(matrix.m, [Fraction(v, total) for v in vec]))
+        densities.append(Density(m, [Fraction(v, total) for v in vec]))
     densities.sort(key=lambda d: d.values)
     return [d.values for d in densities]
 
@@ -245,7 +307,6 @@ def packed_sort_keys(vectors, totals, n):
     standard struct field up to 8 bytes). The byte-packed key the library
     used before its rays became sparse."""
     import struct
-    from math import lcm
 
     scale = lcm(*totals)
     width = (scale.bit_length() + 7) // 8
@@ -265,8 +326,6 @@ def scan_double_description(int_rows, n):
     far. The library generates those pairs from shared support subsets and
     computes one rank per set of column classes instead; both must return
     the same rays in the same order."""
-    from math import gcd
-
     rays = [tuple(int(k == j) for k in range(n)) for j in range(n)]
     supports = [1 << j for j in range(n)]
     processed = []

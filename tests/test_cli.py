@@ -246,6 +246,41 @@ def test_ray_ceiling_exits_4_with_one_line(tmp_path, capsys, monkeypatch, comman
         )
 
 
+@pytest.mark.parametrize("ceiling, expect", [(47, 4), (48, 0)])
+def test_rays_report_ceiling_exits_4_with_one_line(tmp_path, capsys, monkeypatch, ceiling, expect):
+    # symmetric m=3 has 6 rays over 8 points: 48 cells
+    monkeypatch.setattr(bernray.report, "MAX_REPORT_CELLS", ceiling)
+    spec = write_spec(tmp_path, SYM3_SPEC)
+    csv = tmp_path / "rays.csv"
+    code, rep = run_cli(tmp_path, ["rays", "--input", spec, "--csv", str(csv)])
+    assert code == expect
+    if expect == 4:
+        assert rep is None
+        assert not csv.exists()
+        assert capsys.readouterr().err == (
+            "bernray: a rays report of 6 rays over 8 points holds 48 cells, past the ceiling of 47\n"
+        )
+    else:
+        assert rep["ray_count"] == 6
+        assert csv.exists()
+
+
+@pytest.mark.parametrize("command, extra", [("rays", []), ("sample", ["--n", "10", "--seed", "1"])])
+@pytest.mark.parametrize("output, csv", [
+    pytest.param("same.out", "same.out", id="same"),
+    pytest.param("same.out", "./same.out", id="dot-slash"),
+    pytest.param("{tmp}/same.out", "sub/../same.out", id="absolute-and-dot-dot"),
+])
+def test_csv_naming_the_output_file_exits_3(tmp_path, capsys, monkeypatch, command, extra, output, csv):
+    # one file cannot hold both: the report would overwrite the CSV
+    monkeypatch.chdir(tmp_path)
+    spec = write_spec(tmp_path, {**SYM3_SPEC, **RHO_OK})
+    argv = [command, "--input", spec, *extra, "--output", output.format(tmp=tmp_path), "--csv", csv]
+    assert main(argv) == 3
+    assert os.listdir(tmp_path) == ["problem.json"]
+    assert capsys.readouterr().err == "bernray: invalid input: --csv: names the same file as --output\n"
+
+
 @pytest.mark.parametrize("m", [1, 7])
 def test_bounds_closed_form_at_any_m(tmp_path, m):
     # no ray enumeration: m=1 has no pairs and m=7 is above the ray cap

@@ -4,52 +4,56 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from bernray import (
     DimensionCapError,
     FrechetClass,
-    build_h,
     cone,
     extreme_rays,
     margin_rays,
     moment_map,
 )
-from bernray.cone import _candidate_pairs, _double_description, _int_rank, _integer_rows
+from bernray.cone import _candidate_pairs, _double_description, _int_rank, margin_rows
 from conftest import MARGINS, random_class
 
 HALF = Fraction(1, 2)
 
 
-def test_build_h_entries():
-    cls = FrechetClass([Fraction(1, 4), Fraction(2, 3)])
-    h = build_h(cls)
-    # row i at support point x is p_i - x_i
-    assert h.rows[0] == (Fraction(1, 4), Fraction(-3, 4), Fraction(1, 4), Fraction(-3, 4))
-    assert h.rows[1] == (Fraction(2, 3), Fraction(2, 3), Fraction(-1, 3), Fraction(-1, 3))
+def test_margin_rows_entries():
+    rows = margin_rows(FrechetClass([Fraction(1, 4), Fraction(2, 3)]))
+    # row i at support point x is p_i - x_i times the denominator of p_i
+    assert rows[0] == (1, -3, 1, -3)
+    assert rows[1] == (2, 2, -1, -1)
+
+
+MARGIN_CLASSES = st.integers(1, 5).flatmap(lambda m: st.lists(MARGINS, min_size=m, max_size=m))
+
+
+@settings(max_examples=100, deadline=None)
+@given(MARGIN_CLASSES)
+# the class of test_sort_keys_past_64_bits, denominators up to 10^12 + 39
+@example([Fraction(1, 10**12 + 39), Fraction(2, 7), Fraction(10**9, 10**9 + 7)])
+def test_margin_rows_match_the_fraction_route(p):
+    assert margin_rows(FrechetClass(p)) == oracles.fraction_margin_rows(p)
 
 
 def test_build_h2_entries_and_boundaries():
-    h2 = oracles.build_h2(2, [Fraction(1, 3)])
-    assert h2.rows[0] == (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3), Fraction(-2, 3))
+    # mu - x_1 x_2 = (1/3, 1/3, 1/3, -2/3), cleared of its denominator
+    assert oracles.build_h2(2, [Fraction(1, 3)]) == [(1, 1, 1, -2)]
     # boundary values are allowed and give one-sided rows
-    z = oracles.build_h2(2, [Fraction(0)])
-    assert z.rows[0] == (0, 0, 0, -1)
-    o = oracles.build_h2(2, [Fraction(1)])
-    assert o.rows[0] == (1, 1, 1, 0)
+    assert oracles.build_h2(2, [Fraction(0)]) == [(0, 0, 0, -1)]
+    assert oracles.build_h2(2, [Fraction(1)]) == [(1, 1, 1, 0)]
 
 
 def test_h_with_ones_row_full_rank():
     rng = random.Random(23)
     for _ in range(10):
         cls = random_class(rng, rng.randint(2, 4))
-        h = build_h(cls)
-        rows = [list(r) for r in h.rows] + [[Fraction(1)] * (1 << cls.m)]
-        scale = lcm(*[v.denominator for row in rows for v in row])
-        ints = [[int(v * scale) for v in row] for row in rows]
-        assert _int_rank(ints) == cls.m + 1
+        rows = [list(r) for r in margin_rows(cls)] + [[1] * (1 << cls.m)]
+        assert _int_rank(rows) == cls.m + 1
 
 
 def test_m2_rays_are_frechet_corners():
@@ -106,8 +110,8 @@ def test_ray_columns_sorted_and_unique():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 4).flatmap(lambda m: st.lists(MARGINS, min_size=m, max_size=m)))
 def test_extreme_rays_match_normalise_and_sort_reference(p):
-    h = build_h(FrechetClass(p))
-    assert extreme_rays(h).column_values() == oracles.normalised_rays(h)
+    rows = margin_rows(FrechetClass(p))
+    assert extreme_rays(rows, len(p)).column_values() == oracles.normalised_rays(rows, len(p))
 
 
 # the m=5 classes of the enumerate benchmark workload (2712, 3764, 1727 rays)
@@ -116,13 +120,13 @@ def test_extreme_rays_match_normalise_and_sort_reference(p):
     [["1/2"] * 5, ["1/2", "1/6", "1/6", "4/5", "1/4"], ["1/3"] * 5],
 )
 def test_extreme_rays_match_normalise_and_sort_reference_m5(p):
-    h = build_h(FrechetClass(p))
-    rays = extreme_rays(h)
+    rows = margin_rows(FrechetClass(p))
+    rays = extreme_rays(rows, 5)
     for support, ray, total in zip(rays.supports, rays.entries, rays.totals):
         assert support.bit_count() == len(ray)
         assert total == sum(ray)
         assert gcd(*ray) == 1
-    assert rays.column_values() == oracles.normalised_rays(h)
+    assert rays.column_values() == oracles.normalised_rays(rows, 5)
 
 
 # the two large m=5 classes: mixed margins, and generic ones (every ray has
@@ -142,16 +146,15 @@ def _dense_dd(rows, n):
     return oracles.dense_rays(*_double_description(rows, n), n)
 
 
-def _dd_and_scan(matrix):
-    rows = _integer_rows(matrix.rows)
-    n = 1 << matrix.m
+def _dd_and_scan(rows, m):
+    n = 1 << m
     return _dense_dd(rows, n), oracles.scan_double_description(rows, n)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 4).flatmap(lambda m: st.lists(MARGINS, min_size=m, max_size=m)))
 def test_double_description_matches_scan_oracle(p):
-    got, expect = _dd_and_scan(build_h(FrechetClass(p)))
+    got, expect = _dd_and_scan(margin_rows(FrechetClass(p)), len(p))
     assert got == expect
 
 
@@ -170,13 +173,13 @@ PAIR_MOMENTS = st.integers(2, 4).flatmap(lambda m: st.tuples(st.just(m), st.one_
 @given(PAIR_MOMENTS)
 def test_double_description_matches_scan_oracle_on_pair_rows(case):
     m, mu2 = case
-    got, expect = _dd_and_scan(oracles.build_h2(m, mu2))
+    got, expect = _dd_and_scan(oracles.build_h2(m, mu2), m)
     assert got == expect
 
 
 def test_double_description_matches_scan_oracle_m5():
     # the enumerate workload's 3,764-ray class
-    got, expect = _dd_and_scan(build_h(FrechetClass(["1/2", "1/6", "1/6", "4/5", "1/4"])))
+    got, expect = _dd_and_scan(margin_rows(FrechetClass(["1/2", "1/6", "1/6", "4/5", "1/4"])), 5)
     assert len(got) == 3764
     assert got == expect
 
@@ -239,10 +242,10 @@ def test_candidate_pairs_are_the_scan_survivors(case):
 
 def test_sort_keys_past_64_bits():
     # totals whose lcm needs more than the widest fixed-size field
-    h = build_h(FrechetClass([Fraction(1, 10**12 + 39), Fraction(2, 7), Fraction(10**9, 10**9 + 7)]))
-    rays = extreme_rays(h)
+    rows = margin_rows(FrechetClass([Fraction(1, 10**12 + 39), Fraction(2, 7), Fraction(10**9, 10**9 + 7)]))
+    rays = extreme_rays(rows, 3)
     assert lcm(*rays.totals).bit_length() > 64
-    assert rays.column_values() == oracles.normalised_rays(h)
+    assert rays.column_values() == oracles.normalised_rays(rows, 3)
 
 
 def _same_order(keys, reference):
@@ -260,9 +263,8 @@ def _keys_and_reference(supports, entries, n):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 4).flatmap(lambda m: st.lists(MARGINS, min_size=m, max_size=m)))
 def test_sort_keys_order_as_the_packed_reference(p):
-    h = build_h(FrechetClass(p))
-    n = 1 << h.m
-    keys, reference = _keys_and_reference(*_double_description(_integer_rows(h.rows), n), n)
+    n = 1 << len(p)
+    keys, reference = _keys_and_reference(*_double_description(margin_rows(FrechetClass(p)), n), n)
     assert _same_order(keys, reference)
 
 
@@ -306,7 +308,7 @@ def test_pair_moment_rays_match_oracle():
         total = sum(weights)
         f = [w / total for w in weights]
         mu2 = oracles.direct_pair_moments(f)
-        rays = extreme_rays(oracles.build_h2(m, mu2))
+        rays = extreme_rays(oracles.build_h2(m, mu2), m)
         rows, rhs = oracles.pair_polytope_rows(m, mu2)
         assert {tuple(c) for c in rays.column_values()} == oracles.bfs_vertices(rows, rhs)
 
@@ -314,7 +316,7 @@ def test_pair_moment_rays_match_oracle():
 def test_pair_moment_rays_empty_cone():
     # mu_12 = mu_13 = 1 forces both pairs always on, contradicting mu_23 = 0
     h2 = oracles.build_h2(3, [Fraction(1), Fraction(1), Fraction(0)])
-    assert extreme_rays(h2).n_rays == 0
+    assert extreme_rays(h2, 3).n_rays == 0
 
 
 def test_moment_map_order2_is_pair_sums():
@@ -343,7 +345,7 @@ def test_moment_map_matches_dense_recomputation(p, order):
 
 def test_extreme_rays_on_explicit_matrix():
     cls = FrechetClass([HALF, HALF])
-    assert extreme_rays(build_h(cls)).n_rays == margin_rays(cls).n_rays
+    assert extreme_rays(margin_rows(cls), 2).n_rays == margin_rays(cls).n_rays
 
 
 def test_dimension_cap():

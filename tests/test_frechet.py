@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from bernray import (
@@ -21,6 +23,7 @@ from bernray import (
     theta_from_density,
 )
 from bernray.frechet import exact_sqrt, pair_list
+from conftest import MARGINS
 
 HALF = Fraction(1, 2)
 
@@ -45,6 +48,35 @@ def test_density_must_sum_to_one():
 
 def test_pair_and_subset_lists():
     assert pair_list(3) == [(1, 2), (1, 3), (2, 3)]
+
+
+# a class with m <= 5 and one value per support point: a density from random
+# nonnegative weights, or an arbitrary theta vector
+def _class_and_cells(cells):
+    return st.integers(1, 5).flatmap(lambda m: st.tuples(
+        st.lists(MARGINS, min_size=m, max_size=m), st.lists(cells, min_size=1 << m, max_size=1 << m)
+    ))
+
+
+WEIGHTED_MEMBERS = _class_and_cells(st.integers(0, 9)).filter(lambda case: any(case[1]))
+THETA_VECTORS = _class_and_cells(st.fractions(-5, 5, max_denominator=12))
+
+
+@settings(max_examples=100, deadline=None)
+@given(WEIGHTED_MEMBERS)
+def test_theta_stencil_matches_the_corner_weight_route(case):
+    p, weights = case
+    f = [Fraction(w, sum(weights)) for w in weights]
+    theta = theta_from_density(FrechetClass(p), Density(len(p), f))
+    assert list(theta.values) == oracles.corner_theta_from_density(p, f)
+
+
+@settings(max_examples=100, deadline=None)
+@given(THETA_VECTORS)
+def test_cdf_stencil_matches_the_corner_weight_route(case):
+    p, theta = case
+    cdf = cdf_from_theta(FrechetClass(p), ThetaVector(len(p), theta))
+    assert list(cdf.values) == oracles.corner_cdf_from_theta(p, theta)
 
 
 def test_independence_density_theta_is_delta():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -135,6 +136,13 @@ def test_higher_moment_objective_m3():
     assert c4[0b1111] == 5
     assert c4[0b0111] == c4[0b1011] == 1
     assert c4[0b0011] == 0
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_higher_moment_objective_is_the_binomial_sum(m):
+    # the point with k active coordinates lies in comb(k, r) subsets of size r
+    expect = [F(sum(comb(j.bit_count(), r) for r in range(3, m + 1))) for j in range(1 << m)]
+    assert higher_moment_objective(m) == expect
 
 
 def test_minimize_higher_moments_independence_and_upper(sym3):
