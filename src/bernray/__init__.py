@@ -10,7 +10,6 @@ from .bounds import (
     pair_bounds,
 )
 from .cone import (
-    DIMENSION_CAP,
     DimensionCapError,
     MomentMap,
     RayMatrix,
@@ -55,7 +54,6 @@ __all__ = [
     "BivariateSummary",
     "Cdf",
     "CorrelationSpec",
-    "DIMENSION_CAP",
     "Density",
     "DimensionCapError",
     "FitResult",

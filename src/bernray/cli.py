@@ -7,11 +7,13 @@ delimited export where one is defined (rays: one ray per column; sample: one
 draw per row).
 
 Exit codes: 0 success or feasible, 2 infeasible target, 3 invalid input,
-4 dimension cap or report size ceiling exceeded.
+4 too large: m past the support cap, or, in rays and ray-mode fit and sample,
+more rays in one enumeration step than a rays report can hold.
 """
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -27,12 +29,12 @@ from .report import (
     ProblemSpec,
     SpecError,
     check_draw_options,
-    check_report_cells,
     json_text,
     order_note,
     parse_density_payload,
     parse_problem_spec,
     rational_field,
+    ray_ceiling,
     rays_csv_text,
     rays_field,
     reorder_support,
@@ -103,7 +105,7 @@ def _fit(spec: ProblemSpec, cls, mu2, minimize: bool) -> tuple[FitResult, str, i
     if minimize or spec.mode == "direct":
         solve = minimize_higher_moments if minimize else fit_density_direct
         return solve(cls, mu2), "margin rows 1..m, pair rows lexicographic, unit-sum row", None
-    rays = margin_rays(cls)
+    rays = margin_rays(cls, ray_ceiling(cls.m))
     fit = fit_lambda(moment_map(rays, 2), mu2)
     return fit, "pair-moment rows lexicographic over ray columns, unit-sum row", rays.n_rays
 
@@ -126,8 +128,7 @@ def _certificate_payload(fit: FitResult, rows_note: str) -> dict:
 
 
 def _rays(args, spec: ProblemSpec, cls, report: dict) -> int:
-    rays = margin_rays(cls)
-    check_report_cells(rays)
+    rays = margin_rays(cls, ray_ceiling(cls.m))
     report["status"] = "ok"
     report["kind"] = "margins"
     report["ray_count"] = rays.n_rays
@@ -294,7 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--input", required=True, help="problem spec JSON file")
     parser.add_argument("--output", help="write the report here instead of stdout")
     parser.add_argument("--csv", help=f"delimited export ({CSV_COMMANDS} only)")
-    parser.add_argument("--mode", choices=["rays", "direct"], help="override options.mode")
+    parser.add_argument("--mode", choices=["rays", "direct"],
+                        help="override options.mode, read by fit and sample "
+                             "(nearest and minimize ignore it)")
     parser.add_argument("--paper-order", action="store_true",
                         help="emit support-indexed vectors in complemented order")
     parser.add_argument("--seed", type=int, help="override options.seed")
@@ -326,9 +329,12 @@ def run(args) -> tuple[dict, int]:
         raise SpecError(f"--precision: must be in 1..{MAX_PRECISION}")
     if args.csv is not None and not command.csv:
         raise SpecError(f"--csv: delimited export is defined for {CSV_COMMANDS} only")
-    if args.csv is not None and args.output is not None:
-        if os.path.realpath(args.csv) == os.path.realpath(args.output):
-            raise SpecError("--csv: names the same file as --output")
+    # a file written may not be another file of the run: it would replace it
+    paths = [(flag, os.path.realpath(path)) for flag in ("csv", "output", "input", "density")
+             if (path := getattr(args, flag)) is not None]
+    for (written, a), (other, b) in itertools.combinations(paths, 2):
+        if a == b and written != "input":
+            raise SpecError(f"--{written}: names the same file as --{other}")
 
     cls = spec.frechet_class()
     t0 = time.perf_counter()

@@ -52,19 +52,16 @@ from typing import Sequence
 from .frechet import FrechetClass
 from .tensor import bit_positions, primitive, subset_points
 
-#: Largest m for ray enumeration: m=6 already has 707,264 rays.
-DIMENSION_CAP = 6
-
-#: Most rays the double description may hold within one row. Symmetric m=6
-#: peaks at 707,264 in its last row; a generic m=6 class passes 10^6 in its
-#: fifth and would otherwise grow until memory runs out.
+#: Most rays the double description may hold within one row, unless the
+#: caller passes its own ceiling. Symmetric m=6 peaks at 707,264 in its last
+#: row; a generic m=6 class passes 10^6 in its fifth and would otherwise grow
+#: until memory runs out.
 RAY_CEILING = 10**6
 
 
 class DimensionCapError(ValueError):
-    """Ray enumeration refused because m exceeds the configured cap or the
-    rays outgrow RAY_CEILING, or their report outgrows
-    report.MAX_REPORT_CELLS."""
+    """Refused as too large: the double description outgrows its ray
+    ceiling, or m exceeds tensor.SUPPORT_CAP."""
 
 
 def margin_rows(cls: FrechetClass) -> list[tuple[int, ...]]:
@@ -154,13 +151,14 @@ def _int_rank(rows: Sequence[Sequence[int]]) -> int:
 
 
 def _double_description(
-    int_rows: Sequence[Sequence[int]], n: int
+    int_rows: Sequence[Sequence[int]], n: int, ceiling: int | None = None
 ) -> tuple[list[int], list[tuple[int, ...]]]:
     """Extreme rays of {f >= 0 : row . f = 0 for every row} as sparse
     primitive integer vectors: their support masks and their entries on
     them, lowest coordinate first. Rows are inserted in the order given.
-    Refuses, with DimensionCapError, a row whose rays would pass
-    RAY_CEILING."""
+    Refuses, with DimensionCapError, a row whose rays would pass the
+    ceiling (RAY_CEILING when None)."""
+    ceiling = RAY_CEILING if ceiling is None else ceiling
     supports = [1 << j for j in range(n)]
     rays: list[tuple[int, ...]] = [(1,)] * n
 
@@ -198,7 +196,7 @@ def _double_description(
         # disjoint relative interiors
         new_rays: list[tuple[int, ...]] = []
         new_sup: list[int] = []
-        room = RAY_CEILING - len(keep_rays)
+        room = ceiling - len(keep_rays)
         ranks: dict[int, int] = {}
         # the rank test below asks for rank width - 2 of t rows
         for ip, negs in _candidate_pairs(supports, pos, neg, t + 2):
@@ -234,7 +232,7 @@ def _double_description(
                 raise DimensionCapError(
                     f"ray enumeration for m={n.bit_length() - 1} holds "
                     f"{len(keep_rays) + len(new_rays):,} rays in row {t + 1}, "
-                    f"past the ceiling of {RAY_CEILING:,}"
+                    f"past the ceiling of {ceiling:,}"
                 )
 
         rays = keep_rays + new_rays
@@ -288,17 +286,16 @@ def _subsets(mask: int, k: int):
     return map(sum, itertools.combinations([1 << c for c in bit_positions(mask)], k))
 
 
-def extreme_rays(rows: Sequence[Sequence[int]], m: int) -> RayMatrix:
+def extreme_rays(rows: Sequence[Sequence[int]], m: int, ceiling: int | None = None) -> RayMatrix:
     """Enumerate the extreme rays of {f >= 0 : row . f = 0 for every row},
     rows being integer vectors over the 2^m support points, as sparse
     primitive integer vectors with their totals.
 
-    Refuses m above DIMENSION_CAP. Deterministic: insertion in the given row
-    order, rays sorted lexicographically by density value.
+    Refuses a row whose rays pass the ceiling (RAY_CEILING when None).
+    Deterministic: insertion in the given row order, rays sorted
+    lexicographically by density value.
     """
-    if m > DIMENSION_CAP:
-        raise DimensionCapError(f"ray enumeration for m={m} exceeds the cap of {DIMENSION_CAP}")
-    supports, entries = _double_description(rows, 1 << m)
+    supports, entries = _double_description(rows, 1 << m, ceiling)
     totals = [sum(ray) for ray in entries]
     if any(min(ray) <= 0 for ray in entries):
         raise ArithmeticError("a ray has an entry <= 0 on its support")
@@ -347,6 +344,6 @@ def moment_map(rays: RayMatrix, order: int) -> MomentMap:
     return MomentMap(rays.m, order, entries, rays)
 
 
-def margin_rays(cls: FrechetClass) -> RayMatrix:
-    """Extreme ray densities of the class itself."""
-    return extreme_rays(margin_rows(cls), cls.m)
+def margin_rays(cls: FrechetClass, ceiling: int | None = None) -> RayMatrix:
+    """Extreme ray densities of the class itself; ceiling as in extreme_rays."""
+    return extreme_rays(margin_rows(cls), cls.m, ceiling)

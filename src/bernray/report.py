@@ -234,14 +234,11 @@ def _ray_columns(rays: RayMatrix, paper_order: bool, render) -> Iterator[list]:
         yield col
 
 
-def check_report_cells(rays: RayMatrix) -> None:
-    """Refuse, with DimensionCapError, a report past MAX_REPORT_CELLS."""
-    cells = rays.n_rays << rays.m
-    if cells > MAX_REPORT_CELLS:
-        raise DimensionCapError(
-            f"a rays report of {rays.n_rays:,} rays over {1 << rays.m} points holds "
-            f"{cells:,} cells, past the ceiling of {MAX_REPORT_CELLS:,}"
-        )
+def ray_ceiling(m: int) -> int:
+    """Most rays a rays report of class dimension m may hold: the double
+    description is refused in the row that passes it, before any report or
+    CSV is built."""
+    return MAX_REPORT_CELLS >> m
 
 
 def rays_field(rays: RayMatrix, precision: int, paper_order: bool) -> list[dict]:

@@ -15,7 +15,7 @@ For unattainable correlation targets, nearest_feasible_correlation returns
 the closest attainable point in the Euclidean correlation metric, exactly:
 Wolfe's minimum-norm-point algorithm over the class polytope, whose vertices
 come one at a time from an exact LP over the 2^m masses. It never enumerates
-rays, so it has no ray cap. Its major and minor cycles run in exact integers,
+rays and has no ray ceiling. Its major and minor cycles run in exact integers,
 in tensor's integer form: common denominators, gcd reduction and the
 fraction-free pivot the simplex uses. Only the answer becomes Fractions,
 once, at the end.

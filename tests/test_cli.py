@@ -221,21 +221,24 @@ def test_nearest_report_does_not_depend_on_mode(tmp_path, payload, status):
 
 @pytest.mark.parametrize("command, expect", [("rays", 4), ("fit", 4), ("nearest", 0)])
 def test_ray_cap_binds_rays_and_ray_mode_fit_only(tmp_path, capsys, command, expect):
-    # m=7 is above the ray cap of 6; nearest projects without rays
+    # symmetric m=7 passes the ray ceiling of 4,000,000 >> 7 in row 3;
+    # nearest projects without rays
     spec = write_spec(tmp_path, {"m": 7, "p": ["1/2"] * 7, "rho": ["0.1"] * 21})
     code, rep = run_cli(tmp_path, [command, "--input", spec, "--mode", "rays"])
     assert code == expect
     if expect == 4:
         assert rep is None
-        assert capsys.readouterr().err == "bernray: ray enumeration for m=7 exceeds the cap of 6\n"
+        assert capsys.readouterr().err == (
+            "bernray: ray enumeration for m=7 holds 31,488 rays in row 3, past the ceiling of 31,250\n"
+        )
     else:
         assert rep["status"] == "feasible"
 
 
 @pytest.mark.parametrize("command, expect", [("rays", 4), ("fit", 4), ("nearest", 0)])
 def test_ray_ceiling_exits_4_with_one_line(tmp_path, capsys, monkeypatch, command, expect):
-    # symmetric m=3 holds 16 rays in row 1, past a ceiling of 15
-    monkeypatch.setattr(bernray.cone, "RAY_CEILING", 15)
+    # symmetric m=3 holds 16 rays in row 1, past a ceiling of 127 >> 3 = 15
+    monkeypatch.setattr(bernray.report, "MAX_REPORT_CELLS", 127)
     spec = write_spec(tmp_path, {**SYM3_SPEC, **RHO_OK})
     code, rep = run_cli(tmp_path, [command, "--input", spec, "--mode", "rays"])
     assert code == expect
@@ -246,9 +249,9 @@ def test_ray_ceiling_exits_4_with_one_line(tmp_path, capsys, monkeypatch, comman
         )
 
 
-@pytest.mark.parametrize("ceiling, expect", [(47, 4), (48, 0)])
+@pytest.mark.parametrize("ceiling, expect", [(127, 4), (128, 0)])
 def test_rays_report_ceiling_exits_4_with_one_line(tmp_path, capsys, monkeypatch, ceiling, expect):
-    # symmetric m=3 has 6 rays over 8 points: 48 cells
+    # symmetric m=3 peaks at 16 rays in row 1: 128 cells over 8 points
     monkeypatch.setattr(bernray.report, "MAX_REPORT_CELLS", ceiling)
     spec = write_spec(tmp_path, SYM3_SPEC)
     csv = tmp_path / "rays.csv"
@@ -258,7 +261,7 @@ def test_rays_report_ceiling_exits_4_with_one_line(tmp_path, capsys, monkeypatch
         assert rep is None
         assert not csv.exists()
         assert capsys.readouterr().err == (
-            "bernray: a rays report of 6 rays over 8 points holds 48 cells, past the ceiling of 47\n"
+            "bernray: ray enumeration for m=3 holds 16 rays in row 1, past the ceiling of 15\n"
         )
     else:
         assert rep["ray_count"] == 6
@@ -281,9 +284,60 @@ def test_csv_naming_the_output_file_exits_3(tmp_path, capsys, monkeypatch, comma
     assert capsys.readouterr().err == "bernray: invalid input: --csv: names the same file as --output\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["fit", "--output", "io.json"], "--output: names the same file as --input", id="fit-output"),
+    pytest.param(["rays", "--csv", "./io.json"], "--csv: names the same file as --input", id="rays-csv"),
+    pytest.param(["sample", "--n", "10", "--csv", "sub/../io.json"], "--csv: names the same file as --input",
+                 id="sample-csv"),
+    pytest.param(["theta", "--density", "d.json", "--output", "d.json"],
+                 "--output: names the same file as --density", id="theta-output-density"),
+    pytest.param(["theta", "--density", "d.json", "--output", "{tmp}/io.json"],
+                 "--output: names the same file as --input", id="theta-output-input"),
+])
+def test_write_naming_an_input_file_exits_3(tmp_path, capsys, monkeypatch, argv, message):
+    # a report or CSV written over the spec or the density would replace it
+    monkeypatch.chdir(tmp_path)
+    write_spec(tmp_path, {**SYM3_SPEC, **RHO_OK}, "io.json")
+    write_spec(tmp_path, {"values": ["1/8"] * 8}, "d.json")
+    before = {name: (tmp_path / name).read_bytes() for name in ("d.json", "io.json")}
+    argv = [argv[0], "--input", "io.json", *(arg.format(tmp=tmp_path) for arg in argv[1:])]
+    assert main(argv) == 3
+    assert {name: (tmp_path / name).read_bytes() for name in sorted(os.listdir(tmp_path))} == before
+    assert capsys.readouterr().err == f"bernray: invalid input: {message}\n"
+
+
+SYM6_SPEC = {"m": 6, "p": ["1/2"] * 6, "rho": ["0.1"] * 15}
+
+
+@pytest.mark.parametrize("argv", [
+    ["rays", "--csv", "out.csv"],
+    ["fit", "--mode", "rays"],
+    ["sample", "--mode", "rays", "--n", "10", "--csv", "out.csv"],
+], ids=["rays", "fit", "sample"])
+def test_m6_ray_ceiling_refuses_before_moments_and_rendering(tmp_path, capsys, monkeypatch, argv):
+    # symmetric m=6 ends with 707,264 rays; the double description stops in
+    # row 5 at the ceiling of 4,000,000 >> 6, before any moment map, report
+    # or CSV is made
+    def unreachable(*args, **kwargs):
+        raise AssertionError("called past the ray ceiling")
+
+    # cone.moment_map and report's renderers, under the names cli calls
+    for name in ("moment_map", "rays_field", "rays_csv_text"):
+        monkeypatch.setattr(bernray.cli, name, unreachable)
+    monkeypatch.chdir(tmp_path)
+    spec = write_spec(tmp_path, SYM6_SPEC)
+    code, rep = run_cli(tmp_path, [argv[0], "--input", spec, *argv[1:]])
+    assert code == 4
+    assert rep is None
+    assert os.listdir(tmp_path) == ["problem.json"]
+    assert capsys.readouterr().err == (
+        "bernray: ray enumeration for m=6 holds 62,524 rays in row 5, past the ceiling of 62,500\n"
+    )
+
+
 @pytest.mark.parametrize("m", [1, 7])
 def test_bounds_closed_form_at_any_m(tmp_path, m):
-    # no ray enumeration: m=1 has no pairs and m=7 is above the ray cap
+    # no ray enumeration: m=1 has no pairs and m=7 passes the ray ceiling
     spec = write_spec(tmp_path, {"m": m, "p": ["1/3"] * m})
     code, rep = run_cli(tmp_path, ["bounds", "--input", spec])
     assert code == 0

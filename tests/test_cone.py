@@ -17,6 +17,7 @@ from bernray import (
     moment_map,
 )
 from bernray.cone import _candidate_pairs, _double_description, _int_rank, margin_rows
+from bernray.report import ray_ceiling
 from conftest import MARGINS, random_class
 
 HALF = Fraction(1, 2)
@@ -348,9 +349,22 @@ def test_extreme_rays_on_explicit_matrix():
     assert extreme_rays(margin_rows(cls), 2).n_rays == margin_rays(cls).n_rays
 
 
-def test_dimension_cap():
-    with pytest.raises(DimensionCapError):
-        margin_rays(FrechetClass([HALF] * 7))
+def test_report_ray_ceiling_refuses_m7_in_row_3():
+    # no cap on m: symmetric m=7 passes 4,000,000 >> 7 rays in its third row
+    with pytest.raises(DimensionCapError) as refused:
+        margin_rays(FrechetClass([HALF] * 7), ray_ceiling(7))
+    assert str(refused.value) == (
+        "ray enumeration for m=7 holds 31,488 rays in row 3, past the ceiling of 31,250"
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(MARGIN_CLASSES)
+def test_report_ray_ceiling_refuses_no_class_up_to_m5(p):
+    # the largest m=5 double description peaks near 18,000 rays, far below
+    # the m=5 ceiling of 125,000
+    cls = FrechetClass(p)
+    assert margin_rays(cls, ray_ceiling(cls.m)) == margin_rays(cls)
 
 
 def test_ray_ceiling_refuses_the_row_that_outgrows_it(monkeypatch):
