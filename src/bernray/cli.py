@@ -39,6 +39,7 @@ from .report import (
     rays_field,
     reorder_support,
     sample_csv_text,
+    spec_value,
     support_labels,
     vector_field,
     write_json_atomic,
@@ -189,10 +190,7 @@ def _nearest(args, spec: ProblemSpec, cls, report: dict) -> int:
     if rho is None:
         # projection works in correlation coordinates, so a mu2 whose
         # correlation leaves [-1, 1] is rejected like such a rho
-        try:
-            rho = rho_from_mu2(cls, mu2)
-        except ValueError as exc:
-            raise SpecError(f"mu2: implied {exc}") from exc
+        rho = spec_value("mu2: implied ", rho_from_mu2, cls, mu2)
     proj = nearest_feasible_correlation(cls, rho)
     precision = args.precision
     report["rho_target"] = vector_field(rho.values, precision)

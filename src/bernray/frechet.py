@@ -26,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 from .tensor import CUMSUM_2, DIFF_2, RationalLike, as_fraction, exact_text, kron_apply, subset_points
 
@@ -89,33 +89,51 @@ class FrechetClass:
         return pair_list(self.m)
 
 
-def _check_length(values: tuple[Fraction, ...], m: int, what: str) -> None:
-    if len(values) != 1 << m:
-        raise ValueError(f"{what} for m={m} needs 2^{m} entries, got {len(values)}")
-
-
 @dataclass(frozen=True)
-class Density:
-    """A valid pmf on {0,1}^m: nonnegative entries, exact unit sum."""
+class _ExactVector:
+    """m and a tuple of exact values, checked by _check on construction;
+    keywords after values go to _check (PairMoments takes checked=False).
+
+    This base must itself be a frozen dataclass: under a plain base the
+    subclasses' dataclasses get no fields, so every instance compares equal
+    to every other. Subclasses are frozen dataclasses with init=False.
+    """
 
     m: int
     values: tuple[Fraction, ...]
+    #: what a refusal calls the vector
+    _name: ClassVar[str]
 
-    def __init__(self, m: int, values: Sequence[RationalLike]):
-        vals = tuple(as_fraction(v) for v in values)
-        _check_length(vals, m, "density")
+    def __init__(self, m: int, values: Sequence[RationalLike], **check: bool):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "values", self._check(m, tuple(as_fraction(v) for v in values), **check))
+
+    def _check(self, m: int, vals: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+        """The values to keep; raises ValueError on values the type refuses."""
+        if len(vals) != 1 << m:
+            raise ValueError(f"{self._name} for m={m} needs 2^{m} entries, got {len(vals)}")
+        return vals
+
+
+@dataclass(frozen=True, init=False)
+class Density(_ExactVector):
+    """A valid pmf on {0,1}^m: nonnegative entries, exact unit sum."""
+
+    _name = "density"
+
+    def _check(self, m: int, vals: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+        vals = super()._check(m, vals)
         neg = [j for j, v in enumerate(vals) if v < 0]
         if neg:
             raise ValueError(f"density has negative entries at indices {neg}")
         total = sum(vals)
         if total != 1:
             raise ValueError(f"density sums to {exact_text(total)}, not exactly 1")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "values", vals)
+        return vals
 
 
-@dataclass(frozen=True)
-class Cdf:
+@dataclass(frozen=True, init=False)
+class Cdf(_ExactVector):
     """Cumulative distribution values on {0,1}^m.
 
     Deliberately unvalidated: cdf_from_theta can legitimately produce entries
@@ -123,28 +141,14 @@ class Cdf:
     equals 1 when the constant theta entry is 1. density_from_cdf is the gate.
     """
 
-    m: int
-    values: tuple[Fraction, ...]
-
-    def __init__(self, m: int, values: Sequence[RationalLike]):
-        vals = tuple(as_fraction(v) for v in values)
-        _check_length(vals, m, "cdf")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "values", vals)
+    _name = "cdf"
 
 
-@dataclass(frozen=True)
-class ThetaVector:
+@dataclass(frozen=True, init=False)
+class ThetaVector(_ExactVector):
     """Coefficients of a class member in the interaction basis, subset-indexed."""
 
-    m: int
-    values: tuple[Fraction, ...]
-
-    def __init__(self, m: int, values: Sequence[RationalLike]):
-        vals = tuple(as_fraction(v) for v in values)
-        _check_length(vals, m, "theta vector")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "values", vals)
+    _name = "theta vector"
 
     @property
     def constant(self) -> Fraction:
@@ -154,12 +158,36 @@ class ThetaVector:
         return tuple(self.values[1 << i] for i in range(self.m))
 
 
-def _pair_count(m: int) -> int:
-    return m * (m - 1) // 2
+@dataclass(frozen=True, init=False)
+class _PairVector(_ExactVector):
+    """One value per pair, lexicographic order, each in [_lo, _hi]."""
+
+    _lo: ClassVar[Fraction]
+    _hi: ClassVar[Fraction]
+
+    def _check(self, m: int, vals: tuple[Fraction, ...], checked: bool = True) -> tuple[Fraction, ...]:
+        """With checked=False an entry outside [_lo, _hi] is kept as given."""
+        count = m * (m - 1) // 2
+        if len(vals) != count:
+            raise ValueError(f"m={m} has {count} pairs, got {len(vals)} {self._name}s")
+        lo, hi = self._lo, self._hi
+        out = []
+        for (i, j), v in zip(pair_list(m), vals):
+            # Conversions through the approximate square root can land a
+            # boundary value a hair outside its interval; absorb up to the
+            # policy tolerance.
+            if hi < v <= hi + SQRT_TOLERANCE:
+                v = hi
+            elif lo - SQRT_TOLERANCE <= v < lo:
+                v = lo
+            elif checked and not lo <= v <= hi:
+                raise ValueError(f"{self._name} for pair ({i},{j}) is {exact_text(v)}, outside [{lo}, {hi}]")
+            out.append(v)
+        return tuple(out)
 
 
-@dataclass(frozen=True)
-class PairMoments:
+@dataclass(frozen=True, init=False)
+class PairMoments(_PairVector):
     """Raw second-order moments E[X_i X_j], pairs in lexicographic order.
 
     Moments of a distribution lie in [0, 1], which the constructor enforces.
@@ -169,68 +197,16 @@ class PairMoments:
     valid projection target, so mu2_from_rho builds it with checked=False.
     """
 
-    m: int
-    values: tuple[Fraction, ...]
-
-    def __init__(self, m: int, values: Sequence[RationalLike], checked: bool = True):
-        raw = tuple(as_fraction(v) for v in values)
-        if len(raw) != _pair_count(m):
-            raise ValueError(f"m={m} has {_pair_count(m)} pairs, got {len(raw)} moments")
-        vals = []
-        for (i, j), v in zip(pair_list(m), raw):
-            c = _clamp_interval(v, ZERO, ONE)
-            if c is None:
-                if checked:
-                    raise ValueError(
-                        f"moment for pair ({i},{j}) is {exact_text(v)}, outside [0, 1]"
-                    )
-                c = v
-            vals.append(c)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "values", tuple(vals))
+    _name = "moment"
+    _lo, _hi = ZERO, ONE
 
 
-@dataclass(frozen=True)
-class CorrelationSpec:
+@dataclass(frozen=True, init=False)
+class CorrelationSpec(_PairVector):
     """Pearson correlations per pair, lexicographic order, each in [-1, 1]."""
 
-    m: int
-    values: tuple[Fraction, ...]
-
-    def __init__(self, m: int, values: Sequence[RationalLike]):
-        vals = []
-        for (i, j), raw in zip(pair_list(m), _exact_entries(m, values)):
-            v = _clamp_unit(raw)
-            if v is None:
-                raise ValueError(
-                    f"correlation for pair ({i},{j}) is {exact_text(raw)}, outside [-1, 1]"
-                )
-            vals.append(v)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "values", tuple(vals))
-
-
-def _exact_entries(m: int, values: Sequence[RationalLike]) -> list[Fraction]:
-    vals = [as_fraction(v) for v in values]
-    if len(vals) != _pair_count(m):
-        raise ValueError(f"m={m} has {_pair_count(m)} pairs, got {len(vals)} correlations")
-    return vals
-
-
-def _clamp_interval(v: Fraction, lo: Fraction, hi: Fraction) -> Fraction | None:
-    # Conversions through the approximate square root can land a boundary
-    # value a hair outside its interval; absorb up to the policy tolerance.
-    if lo <= v <= hi:
-        return v
-    if v > hi and v - hi <= SQRT_TOLERANCE:
-        return hi
-    if v < lo and lo - v <= SQRT_TOLERANCE:
-        return lo
-    return None
-
-
-def _clamp_unit(v: Fraction) -> Fraction | None:
-    return _clamp_interval(v, -ONE, ONE)
+    _name = "correlation"
+    _lo, _hi = -ONE, ONE
 
 
 # ---------------------------------------------------------------------------

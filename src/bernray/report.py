@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence, TypeVar
 
 from .cone import DimensionCapError, RayMatrix
 from .frechet import CorrelationSpec, Density, FrechetClass, PairMoments
@@ -50,6 +50,8 @@ MAX_REPORT_CELLS = 4 * 10**6
 MODES = ("rays", "direct")
 OBJECTIVES = ("none", "min-higher-moments")
 
+T = TypeVar("T")
+
 
 class SpecError(ValueError):
     """Invalid problem specification; message names the JSON path."""
@@ -69,26 +71,22 @@ class ProblemSpec:
     density: Any = None
 
     def frechet_class(self) -> FrechetClass:
-        try:
-            return FrechetClass(self.p)
-        except ValueError as exc:
-            raise SpecError(f"p: {exc}") from exc
+        return spec_value("p: ", FrechetClass, self.p)
 
     def correlation(self) -> CorrelationSpec | None:
-        if self.rho is None:
-            return None
-        try:
-            return CorrelationSpec(self.m, self.rho)
-        except ValueError as exc:
-            raise SpecError(f"rho: {exc}") from exc
+        return None if self.rho is None else spec_value("rho: ", CorrelationSpec, self.m, self.rho)
 
     def pair_moments(self) -> PairMoments | None:
-        if self.mu2 is None:
-            return None
-        try:
-            return PairMoments(self.m, self.mu2)
-        except ValueError as exc:
-            raise SpecError(f"mu2: {exc}") from exc
+        return None if self.mu2 is None else spec_value("mu2: ", PairMoments, self.m, self.mu2)
+
+
+def spec_value(prefix: str, make: Callable[..., T], *args: Any) -> T:
+    """make(*args), with a ValueError it raises (a value type refusing its
+    values) turned into a SpecError whose message starts with prefix."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise SpecError(f"{prefix}{exc}") from exc
 
 
 def _want_int(obj: dict, key: str, path: str) -> int:
@@ -174,12 +172,14 @@ def parse_problem_spec(obj: Any) -> ProblemSpec:
 
 
 def parse_density_payload(obj: Any, m: int) -> Density:
-    """Accept a bare array, {"values": [...]}, or a fit report carrying
-    density.exact; always the canonical support order."""
-    raw = obj
+    """Accept a bare array or {"values": [...]}, in the canonical support
+    order, or a report carrying density.exact, read in the order that its
+    support_order.points names: value k belongs to the point whose x1..xm
+    label is points[k]."""
+    raw, report = obj, False
     if isinstance(raw, dict):
         if isinstance(raw.get("density"), dict) and "exact" in raw["density"]:
-            raw = raw["density"]["exact"]
+            raw, report = raw["density"]["exact"], True
         elif "values" in raw:
             raw = raw["values"]
         elif "density" in raw:
@@ -187,10 +187,16 @@ def parse_density_payload(obj: Any, m: int) -> Density:
         else:
             raise SpecError("density: no recognizable density payload")
     vals = _rational_array(raw, "density", 1 << m)
-    try:
-        return Density(m, vals)
-    except ValueError as exc:
-        raise SpecError(f"density: {exc}") from exc
+    if report:
+        order = obj.get("support_order")
+        points = order.get("points") if isinstance(order, dict) else None
+        labels = support_labels(m, False)
+        if not (isinstance(points, list) and all(isinstance(x, str) for x in points)
+                and sorted(points) == sorted(labels)):
+            raise SpecError(f"density: support_order.points: expected the {len(labels)} distinct {m}-bit labels")
+        by_label = dict(zip(points, vals))
+        vals = tuple(by_label[x] for x in labels)
+    return spec_value("density: ", Density, m, vals)
 
 
 # ---------------------------------------------------------------------------

@@ -163,6 +163,60 @@ def test_theta_from_density_file(tmp_path):
     assert rep["checks"]["linear_all_zero"] is True
 
 
+@pytest.mark.parametrize("command, report_args", [
+    ("fit", []), ("nearest", []), ("minimize", []), ("sample", ["--n", "10"]),
+], ids=["fit", "nearest", "minimize", "sample"])
+def test_theta_reads_a_report_in_its_own_support_order(tmp_path, command, report_args):
+    spec = write_spec(tmp_path, {"m": 3, "p": ["1/2", "1/3", "1/4"], "rho": ["0.1", "0", "-0.1"]})
+    thetas = []
+    for order in ([], ["--paper-order"]):
+        name = f"report{len(thetas)}.json"
+        code, _ = run_cli(tmp_path, [command, "--input", spec] + report_args + order, name)
+        assert code == 0
+        code, rep = run_cli(tmp_path, ["theta", "--input", spec, "--density", str(tmp_path / name)])
+        assert code == 0
+        thetas.append((rep["density"], rep["theta"], rep["checks"]))
+    assert thetas[1] == thetas[0]
+    assert thetas[0][2] == {"constant_is_one": True, "linear_all_zero": True}
+
+
+@pytest.mark.parametrize("points", [
+    None, ["000"] * 8, ["000", "100", "010", "110", "001", "101", "011"],
+    ["000", "100", "010", "110", "001", "101", "011", 111],
+], ids=["absent", "repeated", "short", "not-a-string"])
+def test_theta_refuses_a_report_without_its_support_points(tmp_path, capsys, points):
+    spec = write_spec(tmp_path, {"m": 3, "p": ["1/2", "1/3", "1/4"]})
+    report = {"density": {"exact": ["1/8"] * 8}}
+    if points is not None:
+        report["support_order"] = {"points": points}
+    dens = write_spec(tmp_path, report, "density.json")
+    code, rep = run_cli(tmp_path, ["theta", "--input", spec, "--density", dens])
+    assert code == 3
+    assert rep is None
+    assert capsys.readouterr().err == (
+        "bernray: invalid input: density: support_order.points: expected the 8 distinct 3-bit labels\n"
+    )
+
+
+# each value type's refusal reaches stderr behind the field it came from
+@pytest.mark.parametrize("command, payload, message", [
+    ("bounds", {"m": 2, "p": ["1/2", "3/2"]}, "p: margin p[1] = 3/2 is outside (0, 1)"),
+    ("fit", {"m": 2, "p": ["1/2", "1/2"], "rho": ["-3/2"]},
+     "rho: correlation for pair (1,2) is -3/2, outside [-1, 1]"),
+    ("fit", {"m": 2, "p": ["1/2", "1/2"], "mu2": ["3/2"]}, "mu2: moment for pair (1,2) is 3/2, outside [0, 1]"),
+    ("theta", {"m": 1, "p": ["1/2"], "density": ["1/2", "-1/2"]},
+     "density: density has negative entries at indices [1]"),
+    ("nearest", {"m": 2, "p": ["1/2", "1/10"], "mu2": ["9/10"]},
+     "mu2: implied correlation for pair (1,2) is 17/3, outside [-1, 1]"),
+], ids=["p", "rho", "mu2", "density", "mu2-implied"])
+def test_value_refusals_carry_their_field(tmp_path, capsys, command, payload, message):
+    spec = write_spec(tmp_path, payload)
+    code, rep = run_cli(tmp_path, [command, "--input", spec])
+    assert code == 3
+    assert rep is None
+    assert capsys.readouterr().err == f"bernray: invalid input: {message}\n"
+
+
 def test_invalid_margin_exits_3(tmp_path, capsys):
     spec = write_spec(tmp_path, {"m": 2, "p": ["0", "1/2"]})
     code = main(["rays", "--input", spec, "--output", str(tmp_path / "x.json")])
@@ -181,12 +235,6 @@ def test_both_rho_and_mu2_exits_3(tmp_path):
     spec = write_spec(tmp_path, {**SYM3_SPEC, **RHO_OK, "mu2": ["1/4", "1/4", "1/4"]})
     code = main(["fit", "--input", spec, "--output", str(tmp_path / "x.json")])
     assert code == 3
-
-
-def test_dimension_cap_exits_4(tmp_path):
-    spec = write_spec(tmp_path, {"m": 7, "p": ["1/2"] * 7})
-    code = main(["rays", "--input", spec, "--output", str(tmp_path / "x.json")])
-    assert code == 4
 
 
 # project case 1 of the benchmark: an m=4 class and an unattainable target

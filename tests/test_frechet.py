@@ -26,6 +26,8 @@ from bernray.frechet import exact_sqrt, pair_list
 from conftest import MARGINS
 
 HALF = Fraction(1, 2)
+ONE, ZERO = Fraction(1), Fraction(0)
+TOL = Fraction(1, 10**30)  # the square-root policy tolerance
 
 
 def test_frechet_class_validation():
@@ -200,6 +202,49 @@ def test_pair_moments_validation():
         PairMoments(2, [Fraction(3, 2)])
     with pytest.raises(ValueError):
         PairMoments(3, [HALF])  # wrong length
+
+
+def test_value_types_compare_by_type_and_values():
+    d = Density(1, ["1/2", "1/2"])
+    assert d == Density(1, [HALF, HALF]) and hash(d) == hash(Density(1, [HALF, HALF]))
+    assert d != Density(1, [0, 1])
+    assert Cdf(1, [0, 1]) != ThetaVector(1, [0, 1])
+    assert PairMoments(2, [HALF]) != CorrelationSpec(2, [HALF])
+    assert repr(d) == "Density(m=1, values=(Fraction(1, 2), Fraction(1, 2)))"
+    assert repr(CorrelationSpec(2, [0])) == "CorrelationSpec(m=2, values=(Fraction(0, 1),))"
+    with pytest.raises(AttributeError):
+        d.values = (ONE, ZERO)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Density(2, [1]), "density for m=2 needs 2^2 entries, got 1"),
+    (lambda: Cdf(2, [1]), "cdf for m=2 needs 2^2 entries, got 1"),
+    (lambda: ThetaVector(2, [1, 0, 0]), "theta vector for m=2 needs 2^2 entries, got 3"),
+    (lambda: PairMoments(3, [0]), "m=3 has 3 pairs, got 1 moments"),
+    (lambda: CorrelationSpec(3, [0, 0, 0, 0]), "m=3 has 3 pairs, got 4 correlations"),
+    (lambda: Density(2, [HALF, 0, "-1/4", "3/4"]), "density has negative entries at indices [2]"),
+    (lambda: Density(1, [1, 1]), "density sums to 2, not exactly 1"),
+    (lambda: PairMoments(3, [0, HALF, "3/2"]), "moment for pair (2,3) is 3/2, outside [0, 1]"),
+    (lambda: PairMoments(2, [-2 * TOL]),
+     "moment for pair (1,2) is -1/500000000000000000000000000000, outside [0, 1]"),
+    (lambda: CorrelationSpec(3, [0, "-11/10", 0]), "correlation for pair (1,3) is -11/10, outside [-1, 1]"),
+], ids=["density-length", "cdf-length", "theta-length", "moment-count", "correlation-count",
+        "negative", "sum", "moment-range", "moment-past-tolerance", "correlation-range"])
+def test_value_type_refusals(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
+def test_pair_values_clamp_within_the_tolerance():
+    assert PairMoments(2, [1 + TOL]).values == (ONE,)
+    assert PairMoments(2, [-TOL]).values == (ZERO,)
+    assert CorrelationSpec(2, [-1 - TOL]).values == (-ONE,)
+    # unchecked: an entry past the tolerance is kept, one within it clamped
+    assert PairMoments(2, ["3/2"], checked=False).values == (Fraction(3, 2),)
+    assert PairMoments(2, [1 + TOL / 2], checked=False).values == (ONE,)
+    with pytest.raises(ValueError):
+        PairMoments(2, [0, 0], checked=False)
 
 
 def test_exact_sqrt_perfect_and_irrational():
