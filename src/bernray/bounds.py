@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .frechet import Density, FrechetClass, _pair_scale, exact_sqrt
+from .frechet import Density, FrechetClass, exact_sqrt
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -46,10 +46,9 @@ def pair_bounds(cls: FrechetClass) -> PairBounds:
     through the square-root policy."""
     pairs = tuple(cls.pairs())
     lo, hi, rlo, rhi = [], [], [], []
-    for i, j in pairs:
+    for (i, j), scale in zip(pairs, cls.pair_scales):
         p_i, p_j = cls.p[i - 1], cls.p[j - 1]
         mn, mx = pair_moment_range(p_i, p_j)
-        scale = _pair_scale(cls, i - 1, j - 1)
         lo.append(mn)
         hi.append(mx)
         rlo.append((mn - p_i * p_j) / scale)

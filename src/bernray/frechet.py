@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt
 from typing import ClassVar, Sequence
 
@@ -81,9 +82,20 @@ class FrechetClass:
     def m(self) -> int:
         return len(self.p)
 
-    @property
+    @cached_property
     def q(self) -> tuple[Fraction, ...]:
         return tuple(1 - v for v in self.p)
+
+    @cached_property
+    def pair_scales(self) -> tuple[Fraction, ...]:
+        """sqrt(p_i q_i p_j q_j) per pair, lexicographic order, under the
+        square-root policy. The correlation maps and the correlation bounds
+        all read these; computed once per class, like q, and neither enters
+        equality, hashing or repr."""
+        p, q = self.p, self.q
+        return tuple(
+            exact_sqrt(p[i] * q[i] * p[j] * q[j]) for i, j in itertools.combinations(range(self.m), 2)
+        )
 
     def pairs(self) -> list[tuple[int, int]]:
         return pair_list(self.m)
@@ -280,12 +292,6 @@ def pair_moments_of(f: Density) -> PairMoments:
 # correlation <-> pair-moment translation
 
 
-def _pair_scale(cls: FrechetClass, i: int, j: int) -> Fraction:
-    """sqrt(p_i q_i p_j q_j) under the square-root policy (i, j zero-based)."""
-    p, q = cls.p, cls.q
-    return exact_sqrt(p[i] * q[i] * p[j] * q[j])
-
-
 def mu2_from_rho(cls: FrechetClass, rho: CorrelationSpec) -> PairMoments:
     """E[X_i X_j] = rho_ij sqrt(p_i q_i p_j q_j) + p_i p_j, exact where the
     scale is an exact rational, 1e-30-policy otherwise. The result may leave
@@ -293,8 +299,8 @@ def mu2_from_rho(cls: FrechetClass, rho: CorrelationSpec) -> PairMoments:
     if rho.m != cls.m:
         raise ValueError("correlation dimension does not match the class")
     out = []
-    for (i, j), r in zip(itertools.combinations(range(cls.m), 2), rho.values):
-        out.append(r * _pair_scale(cls, i, j) + cls.p[i] * cls.p[j])
+    for (i, j), r, scale in zip(itertools.combinations(range(cls.m), 2), rho.values, cls.pair_scales):
+        out.append(r * scale + cls.p[i] * cls.p[j])
     return PairMoments(cls.m, out, checked=False)
 
 
@@ -304,6 +310,6 @@ def rho_from_mu2(cls: FrechetClass, mu2: PairMoments) -> CorrelationSpec:
     if mu2.m != cls.m:
         raise ValueError("moment dimension does not match the class")
     out = []
-    for (i, j), v in zip(itertools.combinations(range(cls.m), 2), mu2.values):
-        out.append((v - cls.p[i] * cls.p[j]) / _pair_scale(cls, i, j))
+    for (i, j), v, scale in zip(itertools.combinations(range(cls.m), 2), mu2.values, cls.pair_scales):
+        out.append((v - cls.p[i] * cls.p[j]) / scale)
     return CorrelationSpec(cls.m, out)

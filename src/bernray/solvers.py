@@ -14,11 +14,12 @@ Infeasible targets come back with an exact rational Farkas certificate.
 For unattainable correlation targets, nearest_feasible_correlation returns
 the closest attainable point in the Euclidean correlation metric, exactly:
 Wolfe's minimum-norm-point algorithm over the class polytope, whose vertices
-come one at a time from an exact LP over the 2^m masses. It never enumerates
-rays and has no ray ceiling. Its major and minor cycles run in exact integers,
-in tensor's integer form: common denominators, gcd reduction and the
-fraction-free pivot the simplex uses. Only the answer becomes Fractions,
-once, at the end.
+come one at a time from an exact LP over the 2^m masses. Those LPs differ
+only in their cost, so phase 1 runs once per projection and each vertex is
+one phase 2 from its feasible basis. It never enumerates rays and has no
+ray ceiling. Its major and minor cycles run in exact integers, in tensor's
+integer form: common denominators, gcd reduction and the fraction-free
+pivot the simplex uses. Only the answer becomes Fractions, once, at the end.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ from .frechet import (
     mu2_from_rho,
     rho_from_mu2,
 )
-from .simplex import solve_lp
+from .simplex import phase_one, phase_two, solve_lp
 from .tensor import bit_positions, over_common_denominator, pivot, primitive, subset_points
 
 ZERO = Fraction(0)
@@ -91,7 +92,7 @@ def _mixture(
 
 def _solve_fit(
     m: int,
-    rows: list[list[Fraction]],
+    rows: list[list[Fraction | int]],
     b: list[Fraction],
     c: list[Fraction] | None = None,
     rays: RayMatrix | None = None,
@@ -121,17 +122,17 @@ def fit_lambda(amap: MomentMap, mu2: PairMoments) -> FitResult:
     return _solve_fit(amap.m, rows, b, rays=amap.rays)
 
 
-def _direct_rows(cls: FrechetClass, mu2: PairMoments) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """Constraint rows on the 2^m mass variables and their right-hand side:
-    margins p, pair moments mu2, unit total."""
+def _direct_rows(cls: FrechetClass, mu2: PairMoments) -> tuple[list[list[int]], list[Fraction]]:
+    """0/1 constraint rows on the 2^m mass variables and their right-hand
+    side: margins p, pair moments mu2, unit total."""
     n = 1 << cls.m
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
     for points in subset_points(cls.m, 1) + subset_points(cls.m, 2):
-        row = [ZERO] * n
+        row = [0] * n
         for j in points:
-            row[j] = ONE
+            row[j] = 1
         rows.append(row)
-    rows.append([ONE] * n)
+    rows.append([1] * n)
     return rows, list(cls.p) + list(mu2.values) + [ONE]
 
 
@@ -236,16 +237,18 @@ def nearest_feasible_correlation(
 
 
 def _vertex_oracle(cls: FrechetClass, mu_t: PairMoments):
-    """Linear minimization over the class polytope: one exact LP over the
+    """Linear minimization over the class polytope: an exact LP over the
     margin and unit-sum rows of the direct system, with the objective on
     pair moments spread over each pair's points to give one on the 2^m
-    masses. A vertex comes back as its key, the vertex in sparse ray form
-    (the support mask, the nonzero entries of the integer vector and its
-    total, the lcm of the LP's denominators), its integer pair sums and that
+    masses. The rows never change, so phase 1 runs once, here, and each
+    call runs only phase 2 from that basis. A vertex comes back as its key,
+    the vertex in sparse ray form (the support mask, the nonzero entries of
+    the integer vector and its total, the least common denominator of its
+    masses, read off the final tableau), its integer pair sums and that
     total."""
     m = cls.m
     rows, b = _direct_rows(cls, mu_t)
-    margin_rows, margin_b = rows[:m] + rows[-1:], b[:m] + b[-1:]
+    start = phase_one(rows[:m] + rows[-1:], b[:m] + b[-1:])
     pair_points = subset_points(m, 2)
 
     def oracle(c: Sequence[int]) -> tuple[tuple[int, tuple[int, ...], int], list[int], int]:
@@ -253,8 +256,10 @@ def _vertex_oracle(cls: FrechetClass, mu_t: PairMoments):
         for a, points in zip(c, pair_points):
             for j in points:
                 cost[j] += a
-        x = Density(m, solve_lp(margin_rows, margin_b, c=cost).x).values
-        vertex, total = over_common_denominator(x)
+        values, den = phase_two(start, cost).point()
+        *vertex, total = primitive(values + [den])
+        if min(vertex) < 0 or sum(vertex) != total:
+            raise ArithmeticError("a vertex LP returned a point that is not a density")
         support = sum(1 << j for j, v in enumerate(vertex) if v)
         key = (support, tuple(v for v in vertex if v), total)
         return key, [sum(vertex[j] for j in points) for points in pair_points], total

@@ -18,7 +18,12 @@ every ray column; run under the library's Wolfe loop, it gives the
 projection that the library's vertex-LP oracle must reproduce.
 fraction_wolfe is Wolfe's loop in Fraction arithmetic, with the affine
 minimizer by Fraction Gauss-Jordan elimination: the reference whose every
-decision the library's integer loop must repeat.
+decision the library's integer loop must repeat. cold_vertex_oracle is the
+library's vertex oracle by its earlier route, one cold two-phase solve_lp on
+Fraction rows per call with the answer checked as a Density: the reference
+for the oracle that runs phase 1 once and reads each vertex off the tableau.
+pair_scale is the per-pair correlation scale computed on demand, the
+reference for the scales a class caches.
 
 fraction_margin_rows is the margin cone's rows built as Fractions p_i - x_i
 and then cleared to primitive integers, the reference for the library's
@@ -269,6 +274,12 @@ def ray_pair_bounds(p, rays, sqrt):
     return lo, hi, rho_lo, rho_hi
 
 
+def pair_scale(p, i, j, sqrt):
+    """sqrt(p_i q_i p_j q_j) under the given square-root policy, for the
+    zero-based pair (i, j)."""
+    return sqrt(p[i] * (1 - p[i]) * p[j] * (1 - p[j]))
+
+
 def normalised_rays(rows, m):
     """The normalise-and-sort route to the columns of the ray matrix of
     integer rows over 2^m points: every primitive double-description vector
@@ -468,6 +479,38 @@ def column_oracle(amap):
             key=lambda k: Fraction(sum(a * b for a, b in zip(c, sums[k]) if a), totals[k]),
         )
         return k, sums[k], totals[k]
+
+    return oracle
+
+
+def cold_vertex_oracle(cls, target):
+    """Linear minimization over the class polytope, one cold LP per call:
+    solve_lp over the margin and unit-sum rows of the direct system, as
+    Fractions, with the pair cost spread over each pair's points; the
+    answer is checked as a Density and cleared over its least common
+    denominator. Returns what the library's _vertex_oracle returns: the
+    vertex key (support mask, nonzero entries, total), its integer pair sums
+    and its total."""
+    from bernray import Density
+    from bernray.simplex import solve_lp
+    from bernray.solvers import _direct_rows
+    from bernray.tensor import over_common_denominator, subset_points
+
+    m = cls.m
+    rows, b = _direct_rows(cls, target)
+    rows = [[Fraction(v) for v in r] for r in rows[:m] + rows[-1:]]
+    b = b[:m] + b[-1:]
+    pair_points = subset_points(m, 2)
+
+    def oracle(c):
+        cost = [ZERO] * (1 << m)
+        for a, points in zip(c, pair_points):
+            for j in points:
+                cost[j] += a
+        vertex, total = over_common_denominator(Density(m, solve_lp(rows, b, c=cost).x).values)
+        support = sum(1 << j for j, v in enumerate(vertex) if v)
+        key = (support, tuple(v for v in vertex if v), total)
+        return key, [sum(vertex[j] for j in points) for points in pair_points], total
 
     return oracle
 

@@ -1,4 +1,6 @@
+import itertools
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -23,7 +25,7 @@ from bernray import (
     theta_from_density,
 )
 from bernray.frechet import exact_sqrt, pair_list
-from conftest import MARGINS
+from conftest import MARGINS, random_class
 
 HALF = Fraction(1, 2)
 ONE, ZERO = Fraction(1), Fraction(0)
@@ -267,3 +269,24 @@ def test_cdf_is_plain_container():
     c = Cdf(1, [Fraction(2), Fraction(1)])
     with pytest.raises(ValueError):
         density_from_cdf(c)
+
+
+def test_cached_class_values_leave_equality_hash_and_repr_alone():
+    warm, cold = FrechetClass(["1/2", "1/3", "1/4"]), FrechetClass([HALF, Fraction(1, 3), Fraction(1, 4)])
+    assert warm.q is warm.q and warm.pair_scales is warm.pair_scales
+    assert warm == cold and hash(warm) == hash(cold) == hash((warm.p,))
+    assert {cold: 1}[warm] == 1
+    assert repr(warm) == repr(cold) == "FrechetClass(p=(Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)))"
+    assert warm != FrechetClass(["1/2", "1/3", "1/5"])
+    with pytest.raises(FrozenInstanceError):
+        warm.p = (HALF,)
+
+
+def test_cached_pair_scales_match_the_per_pair_scale():
+    rng = random.Random(97)
+    for k in range(200):
+        cls = random_class(rng, 1 + k % 6)
+        assert cls.q == tuple(1 - v for v in cls.p)
+        assert cls.pair_scales == tuple(
+            oracles.pair_scale(cls.p, i, j, exact_sqrt) for i, j in itertools.combinations(range(cls.m), 2)
+        )

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from bernray import FrechetClass, higher_moment_objective, margin_rays, moment_map
-from bernray.simplex import LpResult, solve_lp, verify_farkas
+from bernray.simplex import LpResult, phase_one, phase_two, solve_lp, verify_farkas
 
 F = Fraction
 
@@ -261,3 +261,147 @@ def test_property_matches_vertex_oracle(lp):
     assert all(v >= 0 for v in res.x)
     for r, bv in zip(rows, b):
         assert sum(rv * xv for rv, xv in zip(r, res.x)) == bv
+
+
+# Phase 1 once, phase 2 per cost: the split that Wolfe's vertex oracle runs
+# must give, cost by cost, what a cold solve_lp gives.
+
+_ENTRIES = st.one_of(st.integers(-3, 3), _RATIONALS)
+
+
+@st.composite
+def _split_systems(draw):
+    """A small system of int and Fraction entries mixed, with zero rows,
+    scaled copies of earlier rows, negative right-hand sides and infeasible
+    right-hand sides among the draws, and 5 costs. Nothing bounds the
+    polytope, so some costs are unbounded below."""
+    ncols = draw(st.integers(1, 5))
+    rows, b = [], []
+    x0 = [abs(draw(_ENTRIES)) for _ in range(ncols)]
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("random", "random", "zero", "copy")))
+        if kind == "zero":
+            row = [draw(st.sampled_from((0, F(0)))) for _ in range(ncols)]
+        elif kind == "copy" and rows:
+            k = draw(st.integers(0, len(rows) - 1))
+            scale = draw(_ENTRIES.filter(bool))
+            row = [scale * v for v in rows[k]]
+        else:
+            row = [draw(_ENTRIES) for _ in range(ncols)]
+        rows.append(row)
+        if draw(st.integers(0, 3)):
+            b.append(sum(v * x for v, x in zip(row, x0)))  # attained by x0 >= 0
+        else:
+            b.append(draw(_ENTRIES))  # drawn freely: often infeasible
+    costs = [[draw(_ENTRIES) for _ in range(ncols)] for _ in range(5)]
+    return rows, b, costs
+
+
+def _split_solve(start, c):
+    """solve_lp's answer composed from a phase_one result and phase_two."""
+    if isinstance(start, LpResult):
+        return start
+    end = phase_two(start, c)
+    if end is None:
+        return LpResult("unbounded", None, None, None, start.pivots)
+    values, den = end.point()
+    x = tuple(F(v, den) for v in values)
+    return LpResult("optimal", x, sum(ci * xi for ci, xi in zip(c, x)), None, end.pivots)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_split_systems())
+def test_property_one_phase_one_serves_every_cost(case):
+    rows, b, costs = case
+    start = phase_one(rows, b)
+    for c in costs:
+        cold = solve_lp(rows, b, c)
+        split = _split_solve(start, c)
+        assert (split.status, split.x, split.objective, split.certificate, split.pivots) == (
+            cold.status, cold.x, cold.objective, cold.certificate, cold.pivots
+        )
+
+
+def test_phase_two_leaves_its_start_alone():
+    # two costs that pivot differently from the same basis: the first run
+    # must not move the rows the second one starts from
+    rows, b, c = _direct_minimize_lp(P4, [a * b for a, b in itertools.combinations(P4, 2)])
+    start = phase_one(rows, b)
+    snapshot = ([list(r) for r in start.rows], list(start.basis), start.den, start.pivots)
+    for cost in (c, [-v for v in c], c):
+        end = phase_two(start, cost)
+        assert end.pivots > start.pivots
+        assert ([list(r) for r in start.rows], list(start.basis), start.den, start.pivots) == snapshot
+        assert _split_solve(start, cost) == solve_lp(rows, b, cost)
+
+
+def test_golden_paths_read_integer_rows_alike():
+    # the direct systems are 0/1: as int rows they take the Fraction rows'
+    # Bland paths, pivot for pivot, and give the same certificate
+    for build, p, mu2, *_ in GOLDEN[2:]:
+        rows, b, c = build(p, mu2)
+        int_rows = [[int(v) for v in r] for r in rows]
+        assert solve_lp(int_rows, b, c) == solve_lp(rows, b, c)
+
+
+# verify_farkas clears y's denominators once and sums y.A in integers
+
+
+def test_verify_farkas_integer_and_fraction_rows_agree():
+    rng = random.Random(53)
+    verdicts = set()
+    for _ in range(300):
+        ncols, nrows = rng.randint(1, 5), rng.randint(1, 4)
+        rows = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(nrows)]
+        b = [rng.randint(-4, 4) for _ in range(nrows)]
+        res = solve_lp(rows, b)
+        if res.status == "infeasible" and rng.random() < 0.5:
+            y = res.certificate
+        else:
+            y = [F(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(nrows)]
+        verdict = verify_farkas(rows, b, y)
+        assert verify_farkas([[F(v) for v in r] for r in rows], [F(v) for v in b], y) is verdict
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_farkas_certificate_survives_positive_scaling():
+    rng = random.Random(59)
+    checked = 0
+    while checked < 20:
+        rows = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(3)]
+        b = [rng.randint(-4, 4) for _ in range(3)]
+        res = solve_lp(rows, b)
+        if res.status != "infeasible":
+            continue
+        for factor in (F(7, 3), F(1, 10**6), F(10**40, 3), 5):
+            assert verify_farkas(rows, b, [factor * v for v in res.certificate])
+        assert not verify_farkas(rows, b, [-v for v in res.certificate])
+        checked += 1
+
+
+def test_changing_one_entry_breaks_a_tight_certificate():
+    # x1 + x2 = 1 and x1 + x2 = 2: y = (1, -1) gives y.A = 0 and y.b = -1,
+    # tight in every column, so any one entry moved the wrong way breaks it
+    rows, b, y = [[1, 1], [1, 1]], [1, 2], [1, -1]
+    assert verify_farkas(rows, b, y)
+    assert not verify_farkas(rows, b, [F(2, 3), -1])
+    assert not verify_farkas(rows, b, [1, F(-4, 3)])
+    for i, j, delta in ((0, 0, -1), (0, 1, -1), (1, 0, 1), (1, 1, 1)):
+        moved = [list(r) for r in rows]
+        moved[i][j] += delta
+        assert not verify_farkas(moved, b, y)
+    assert not verify_farkas(rows, [3, 2], y)
+    assert not verify_farkas(rows, b, [1, -1, 0])  # one multiplier per row
+
+
+def test_integer_rows_with_fraction_right_hand_side():
+    rows, b = [[1, 1, 0], [1, 1, 0], [0, 2, 1]], [F(1, 3), F(1, 2), F(5, 7)]
+    assert verify_farkas(rows, b, [1, -1, 0])
+    res = solve_lp(rows, b)
+    assert res.status == "infeasible"
+    assert verify_farkas(rows, b, res.certificate)
+    assert res == solve_lp([[F(v) for v in r] for r in rows], b)
+    # x1 + x2 = 1/2, 2 x2 + x3 = 5/7: x1 + x3 / 2 is least at x2 = 5/14
+    feasible = solve_lp(rows[1:], b[1:], c=[1, 0, F(1, 2)])
+    assert (feasible.status, feasible.x, feasible.objective) == ("optimal", (F(1, 7), F(5, 14), F(0)), F(1, 7))

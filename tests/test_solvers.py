@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import comb
@@ -22,6 +23,7 @@ from bernray import (
     nearest_feasible_correlation,
     pair_moments_of,
 )
+from bernray import solvers
 from bernray.simplex import verify_farkas
 from bernray.solvers import (
     _affine_minimizer,
@@ -30,7 +32,7 @@ from bernray.solvers import (
     _vertex_oracle,
     _wolfe,
 )
-from conftest import MARGINS
+from conftest import MARGINS, random_class
 
 F = Fraction
 HALF = F(1, 2)
@@ -411,6 +413,42 @@ def test_fraction_free_minimizer_matches_fraction_gauss_jordan():
             [[F(g, si * sj) for g, sj in zip(row, scales)] for row, si in zip(gram, scales)]
         )
         assert [F(s * v, d) for s, v in zip(scales, b)] == reference
+
+
+def test_vertex_oracle_matches_cold_lp_route():
+    # one phase 1 and a vertex read off each phase-2 tableau give the key,
+    # pair sums and total of a cold solve_lp per cost checked as a Density;
+    # small costs tie often, large ones rarely
+    rng = random.Random(101)
+    for k in range(40):
+        cls = random_class(rng, 1 + k % 4)
+        m = cls.m
+        target = PairMoments(m, [cls.p[i] * cls.p[j] for i, j in itertools.combinations(range(m), 2)])
+        oracle, cold = _vertex_oracle(cls, target), oracles.cold_vertex_oracle(cls, target)
+        for bound in (0, 2, 2, 10**6, 10**30):
+            c = [rng.randint(-bound, bound) for _ in range(m * (m - 1) // 2)]
+            assert oracle(c) == cold(c)
+
+
+def test_projection_runs_phase_one_once(monkeypatch, sym3):
+    # the oracle's rows never change: one phase 1 for the projection and one
+    # phase 2 per vertex, the first vertex and one per major cycle
+    calls = {"phase_one": 0, "phase_two": 0}
+
+    def counted(name):
+        real = getattr(solvers, name)
+
+        def run(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(solvers, name, run)
+
+    counted("phase_one")
+    counted("phase_two")
+    res = nearest_feasible_correlation(sym3, RHO_INFEASIBLE)
+    assert res.status == "projected" and res.iterations > 1
+    assert calls == {"phase_one": 1, "phase_two": res.iterations + 1}
 
 
 # Recorded with the Fraction loop: (margins, rho, major cycles, distance^2,
